@@ -519,7 +519,7 @@ int Main(bool quick, int shards_filter) {
 
     // The fault-harness step loop runs ~3 orders of magnitude slower
     // than raw engine ingest (a session round trip per event), and its
-    // per-event FlushBackend makes single-pass timings scheduler-noisy;
+    // per-event Engine::Deliver makes single-pass timings scheduler-noisy;
     // every row here is best-of-3 so the tax ratio measures durability,
     // not thread placement luck.
     constexpr int kReps = 3;

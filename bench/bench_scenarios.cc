@@ -13,11 +13,11 @@
 //   swr          every race winner iid ~ w_i/W (chi-square over T*s draws).
 //   l1           relative error of W-hat (median/max over trials).
 //
-// Engine rows run step-synchronous through the paced feeder
-// (Engine::RunPaced with the scenario's materialized arrival schedule)
-// and are gated on bit-identity with the simulator — sample, keys, and
-// every traffic counter — so the accuracy measured on the sim rows
-// transfers verbatim and the gate never flakes on interleavings.
+// Engine rows replay each scenario one Engine::Deliver per event (the
+// step-synchronous primitive, sim/executor.h) and are gated on
+// bit-identity with the simulator — sample, keys, and every traffic
+// counter — so the accuracy measured on the sim rows transfers verbatim
+// and the gate never flakes on interleavings.
 //
 // Site churn cells run through faults::FaultyRun (crash/resync path):
 // clean trials must be chi-square-exact over the deterministic survivor
@@ -388,21 +388,14 @@ bool SameItemIds(const std::vector<Item>& a, const std::vector<Item>& b) {
   return true;
 }
 
-engine::EngineConfig StepSyncEngine(const ScenarioSpec& spec) {
-  engine::EngineConfig config;
-  config.num_sites = spec.num_sites;
-  config.step_synchronous = true;
-  return config;
-}
-
 // Each Engine*Identical builds the manual engine endpoint stack with the
 // facade's exact seed derivation (master RNG: one NextU64 per site in
 // index order, then the coordinator's where it takes one), replays the
-// scenario through the paced feeder, and compares sample + every traffic
+// scenario one Deliver per event, and compares sample + every traffic
 // counter against the sim facade.
 
 bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
-                          const std::vector<uint32_t>& batches, uint64_t seed,
+                          uint64_t seed,
                           uint64_t* messages) {
   const WsworConfig config = WsworConfigFor(spec, seed);
   DistributedWswor sim_sampler(config);
@@ -410,7 +403,7 @@ bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
 
   std::vector<std::unique_ptr<WsworSite>> sites;
   std::unique_ptr<WsworCoordinator> coordinator;
-  engine::Engine eng(StepSyncEngine(spec));
+  engine::Engine eng(engine::EngineConfig{.num_sites = spec.num_sites});
   Rng master(config.seed);
   for (int i = 0; i < config.num_sites; ++i) {
     sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
@@ -420,7 +413,7 @@ bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
   coordinator = std::make_unique<WsworCoordinator>(config, &eng.transport(),
                                                    master.NextU64());
   eng.AttachCoordinator(coordinator.get());
-  eng.RunPaced(w, batches);
+  sim::DeliverEach(eng, w);
   const bool same =
       SameKeyedSample(sim_sampler.Sample(), coordinator->Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -430,13 +423,13 @@ bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
-                          const std::vector<uint32_t>& batches, uint64_t seed,
+                          uint64_t seed,
                           uint64_t* messages) {
   NaiveDistributedWswor sim_sampler(spec.num_sites, kSampleSize, seed);
   sim_sampler.Run(w);
 
   std::vector<std::unique_ptr<NaiveWsworSite>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
+  engine::Engine eng(engine::EngineConfig{.num_sites = spec.num_sites});
   Rng master(seed);
   for (int i = 0; i < spec.num_sites; ++i) {
     sites.push_back(std::make_unique<NaiveWsworSite>(
@@ -445,7 +438,7 @@ bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
   }
   NaiveWsworCoordinator coordinator(kSampleSize);
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  sim::DeliverEach(eng, w);
   const bool same =
       SameKeyedSample(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -455,14 +448,14 @@ bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
-                          const std::vector<uint32_t>& batches, uint64_t seed,
+                          uint64_t seed,
                           uint64_t* messages) {
   const UsworConfig config = UsworConfigFor(spec, seed);
   DistributedUnweightedSwor sim_sampler(config);
   sim_sampler.Run(w);
 
   std::vector<std::unique_ptr<UsworSite>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
+  engine::Engine eng(engine::EngineConfig{.num_sites = spec.num_sites});
   Rng master(config.seed);
   for (int i = 0; i < config.num_sites; ++i) {
     sites.push_back(std::make_unique<UsworSite>(config, i, &eng.transport(),
@@ -471,7 +464,7 @@ bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
   }
   UsworCoordinator coordinator(config, &eng.transport());
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  sim::DeliverEach(eng, w);
   const bool same =
       SameItemIds(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -481,14 +474,14 @@ bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
-                        const std::vector<uint32_t>& batches, uint64_t seed,
+                        uint64_t seed,
                         uint64_t* messages) {
   const SlottedSwrConfig config = SwrConfigFor(spec, seed);
   DistributedSwr sim_sampler(config);
   sim_sampler.Run(w);
 
   std::vector<std::unique_ptr<SlottedSwrSite>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
+  engine::Engine eng(engine::EngineConfig{.num_sites = spec.num_sites});
   Rng master(config.seed);
   for (int i = 0; i < config.num_sites; ++i) {
     sites.push_back(std::make_unique<SlottedSwrSite>(
@@ -497,7 +490,7 @@ bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
   }
   SlottedSwrCoordinator coordinator(config, &eng.transport());
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  sim::DeliverEach(eng, w);
   const bool same =
       SameItemIds(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -507,14 +500,14 @@ bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineL1Identical(const ScenarioSpec& spec, const Workload& w,
-                       const std::vector<uint32_t>& batches, uint64_t seed,
+                       uint64_t seed,
                        uint64_t* messages) {
   const L1TrackerConfig config = L1ConfigFor(spec, seed);
   L1Tracker sim_tracker(config);
   sim_tracker.Run(w);
 
   std::vector<std::unique_ptr<L1Site>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
+  engine::Engine eng(engine::EngineConfig{.num_sites = spec.num_sites});
   Rng master(config.seed);
   for (int i = 0; i < config.num_sites; ++i) {
     sites.push_back(std::make_unique<L1Site>(config, i, &eng.transport(),
@@ -524,7 +517,7 @@ bool EngineL1Identical(const ScenarioSpec& spec, const Workload& w,
   WsworCoordinator coordinator(L1CoordinatorConfig(config), &eng.transport(),
                                master.NextU64());
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  sim::DeliverEach(eng, w);
   const double engine_estimate =
       L1EstimateFromThreshold(config, coordinator.Threshold());
   const bool same =
@@ -553,7 +546,6 @@ bool EngineChurnIdentical(const Config& config,
 }
 
 CellResult EngineCell(const ScenarioSpec& spec, const Workload& w,
-                      const std::vector<uint32_t>& batches,
                       const faults::FaultConfig& churn,
                       const std::string& protocol, size_t si, size_t pi,
                       int trials) {
@@ -580,15 +572,15 @@ CellResult EngineCell(const ScenarioSpec& spec, const Workload& w,
             L1ConfigFor(spec, seed), churn, w, &messages);
       }
     } else if (protocol == "wswor") {
-      same = EngineWsworIdentical(spec, w, batches, seed, &messages);
+      same = EngineWsworIdentical(spec, w, seed, &messages);
     } else if (protocol == "naive") {
-      same = EngineNaiveIdentical(spec, w, batches, seed, &messages);
+      same = EngineNaiveIdentical(spec, w, seed, &messages);
     } else if (protocol == "uswor") {
-      same = EngineUsworIdentical(spec, w, batches, seed, &messages);
+      same = EngineUsworIdentical(spec, w, seed, &messages);
     } else if (protocol == "swr") {
-      same = EngineSwrIdentical(spec, w, batches, seed, &messages);
+      same = EngineSwrIdentical(spec, w, seed, &messages);
     } else {
-      same = EngineL1Identical(spec, w, batches, seed, &messages);
+      same = EngineL1Identical(spec, w, seed, &messages);
     }
     if (!same) cell.bit_identical = 0;
     TrackMessages(cell, messages);
@@ -656,8 +648,6 @@ int main(int argc, char** argv) {
     const uint64_t workload_seed = 9000 + 37 * si;
     const dwrs::Workload w =
         dwrs::BuildScenarioWorkload(spec, workload_seed, quick);
-    const std::vector<uint32_t> batches =
-        dwrs::BuildScenarioBatches(spec, w.size(), workload_seed);
     const dwrs::faults::FaultConfig churn =
         dwrs::ScenarioChurn(spec, workload_seed);
     std::vector<uint64_t> survivors;
@@ -694,7 +684,7 @@ int main(int argc, char** argv) {
       EmitRow(bench, spec, protocol, "sim", w.size(), sim_cell);
 
       const CellResult engine_cell = EngineCell(
-          spec, w, batches, churn, protocol, si, pi, params.trials_engine);
+          spec, w, churn, protocol, si, pi, params.trials_engine);
       EmitRow(bench, spec, protocol, "engine", w.size(), engine_cell);
     }
   }

@@ -11,8 +11,6 @@
 namespace dwrs::durability {
 namespace {
 
-constexpr int kMaxReconcileRounds = 8;
-
 uint64_t Bits(double x) {
   uint64_t bits;
   std::memcpy(&bits, &x, sizeof(bits));
@@ -135,20 +133,9 @@ DurableWswor::DurableWswor(const WsworConfig& config,
 DurableWswor::~DurableWswor() { TearDownStack(/*abandon_pending=*/false); }
 
 void DurableWswor::BuildStack() {
-  if (backend_ == faults::Backend::kSim) {
-    runtime_ = std::make_unique<sim::Runtime>(num_sites_);
-  } else {
-    engine::EngineConfig engine_config;
-    engine_config.num_sites = num_sites_;
-    engine_config.step_synchronous = true;
-    engine_config.trace_shard = trace_shard_;
-    engine_ = std::make_unique<engine::Engine>(engine_config);
-  }
-  sim::Transport* inner =
-      engine_ ? &engine_->transport()
-              : static_cast<sim::Transport*>(&runtime_->network());
-  faulty_ = std::make_unique<faults::FaultyTransport>(inner, &schedule_,
-                                                      num_sites_);
+  executor_ = faults::MakeExecutor(backend_, num_sites_, trace_shard_);
+  faulty_ = std::make_unique<faults::FaultyTransport>(
+      &executor_->transport(), &schedule_, num_sites_);
   faulty_->set_trace_shard(trace_shard_);
   tracing_ =
       std::make_unique<obs::TracingTransport>(faulty_.get(), trace_shard_);
@@ -191,17 +178,9 @@ void DurableWswor::BuildStack() {
                                              faults::RestartSeed(seed, epoch));
         }));
     site_sessions_.back()->set_trace_shard(trace_shard_);
-    if (runtime_) {
-      runtime_->AttachSite(i, site_sessions_.back().get());
-    } else {
-      engine_->AttachSite(i, site_sessions_.back().get());
-    }
+    executor_->AttachSite(i, site_sessions_.back().get());
   }
-  if (runtime_) {
-    runtime_->AttachCoordinator(durable_coordinator_.get());
-  } else {
-    engine_->AttachCoordinator(durable_coordinator_.get());
-  }
+  executor_->AttachCoordinator(durable_coordinator_.get());
 }
 
 void DurableWswor::TearDownStack(bool abandon_pending) {
@@ -211,9 +190,9 @@ void DurableWswor::TearDownStack(bool abandon_pending) {
     FoldInto(&closed_segment_stats_, wal_->stats());
     wal_.reset();
   }
-  // The engine joins its workers before any endpoint dies (teardown
-  // contract in engine/engine.h).
-  if (engine_) engine_->Shutdown();
+  // Backend threads stop before any endpoint dies (teardown contract in
+  // engine/engine.h).
+  if (executor_) executor_->Shutdown();
   if (durable_coordinator_) {
     wal_records_logged_ += durable_coordinator_->records_logged();
   }
@@ -224,8 +203,7 @@ void DurableWswor::TearDownStack(bool abandon_pending) {
   switchable_.reset();
   tracing_.reset();
   faulty_.reset();
-  engine_.reset();
-  runtime_.reset();
+  executor_.reset();
 }
 
 void DurableWswor::OpenSegment(uint64_t seq, bool truncate) {
@@ -260,7 +238,7 @@ ShardCheckpoint DurableWswor::CaptureCheckpoint(uint64_t step) const {
   checkpoint.snapshot.stale = !coordinator_session_->AllGapsResolved();
   checkpoint.snapshot.sample = coordinator_->ShardSample();
   checkpoint.snapshot.threshold = coordinator_->Threshold();
-  if (runtime_) checkpoint.snapshot.messages = runtime_->stats();
+  checkpoint.snapshot.messages = executor_->MessageSnapshot();
 
   checkpoint.coordinator = coordinator_->SaveState();
   checkpoint.session = coordinator_session_->SaveState();
@@ -499,12 +477,7 @@ void DurableWswor::Run(const Workload& workload,
   size_t broadcast_cursor = 0;  // next pending catch-up broadcast batch
   while (step < workload.size()) {
     const WorkloadEvent& event = workload.event(step);
-    if (runtime_) {
-      runtime_->Deliver(event);
-    } else {
-      engine_->Push(event.site, event.item);
-      engine_->Flush();
-    }
+    executor_->Deliver(event);
     ++step;
     feed_step_ = step;
     if (catching_up_) {
@@ -524,7 +497,7 @@ void DurableWswor::Run(const Workload& workload,
           switchable_->Broadcast(msg);
         }
         ++broadcast_cursor;
-        FlushBackend();
+        executor_->Flush();
       }
       if (step == catch_up_until_) {
         // The whole stack is a pure D-state again: make it durable and
@@ -566,63 +539,15 @@ void DurableWswor::Run(const Workload& workload,
   DWRS_CHECK(!catching_up_)
       << " workload ended inside the recovery catch-up window (the re-fed"
          " stream must cover every durably logged step)";
-  Reconcile();
+  faults::Reconcile(*faulty_, *executor_, site_sessions_);
   // Final checkpoint (post-reconcile): commits the reconcile-round
   // records and leaves the directory resumable at end of stream.
   WriteCheckpoint(feed_step_);
 }
 
-void DurableWswor::FlushBackend() {
-  if (runtime_) {
-    runtime_->Flush();
-  } else {
-    engine_->Flush();
-  }
-}
-
-void DurableWswor::Reconcile() {
-  faulty_->set_enabled(false);
-  for (int round = 0; round < kMaxReconcileRounds; ++round) {
-    faulty_->FlushDelayed();
-    FlushBackend();
-    bool drained = true;
-    for (const auto& session : site_sessions_) {
-      if (session->unacked_size() != 0) drained = false;
-    }
-    if (drained) break;
-    for (const auto& session : site_sessions_) {
-      session->RetransmitAllUnacked();
-    }
-    FlushBackend();
-  }
-  for (const auto& session : site_sessions_) {
-    DWRS_CHECK_EQ(session->unacked_size(), 0u)
-        << " reconcile failed to drain site retransmit buffers";
-  }
-}
-
 faults::RunReport DurableWswor::report() const {
-  faults::RunReport out;
-  out.transcript_hash = coordinator_session_->transcript_hash();
-  out.delivered = coordinator_session_->delivered();
-  out.crash_detections = coordinator_session_->crash_detections();
-  out.resyncs_sent = coordinator_session_->resyncs_sent();
-  out.duplicates_dropped = coordinator_session_->duplicates_dropped();
-  out.gaps_detected = coordinator_session_->gaps_detected();
-  out.nacks_sent = coordinator_session_->nacks_sent();
-  out.stale_epoch_dropped = coordinator_session_->stale_epoch_dropped();
-  for (const auto& session : site_sessions_) {
-    out.crashes += session->crashes();
-    out.lost_unacked += session->lost_unacked();
-    out.items_lost += session->items_lost();
-    out.retransmits_sent += session->retransmits_sent();
-    out.messages_dropped_down += session->messages_dropped_down();
-  }
-  const faults::FaultCounters& fc = faulty_->counters();
-  out.faults_forwarded = fc.forwarded.load(std::memory_order_relaxed);
-  out.faults_dropped = fc.dropped.load(std::memory_order_relaxed);
-  out.faults_duplicated = fc.duplicated.load(std::memory_order_relaxed);
-  out.faults_delayed = fc.delayed.load(std::memory_order_relaxed);
+  faults::RunReport out =
+      faults::SessionReport(*coordinator_session_, site_sessions_, *faulty_);
   out.process_kills = kills_done_;
   out.recoveries = recoveries_;
   out.wal_records_logged =
@@ -630,8 +555,7 @@ faults::RunReport DurableWswor::report() const {
   out.wal_records_replayed = wal_records_replayed_;
   out.checkpoints_written = checkpoints_written_;
   out.recovery_consistent = recovery_consistent_;
-  out.clean = out.lost_unacked == 0 && recovery_consistent_ &&
-              coordinator_session_->AllGapsResolved();
+  out.clean = out.clean && recovery_consistent_;
   return out;
 }
 
@@ -648,9 +572,7 @@ ProbeState DurableWswor::Probe() const {
 }
 
 std::vector<uint64_t> DurableWswor::SampleIds() const {
-  std::vector<uint64_t> ids;
-  for (const KeyedItem& ki : coordinator_->Sample()) ids.push_back(ki.item.id);
-  return ids;
+  return faults::WsworFaultTraits::SampleIds(*coordinator_);
 }
 
 WalStats DurableWswor::wal_stats() const {
@@ -665,84 +587,17 @@ ShardedDurableWswor::ShardedDurableWswor(
     const WsworConfig& config,
     const std::vector<faults::FaultConfig>& shard_faults,
     faults::Backend backend, const DurabilityOptions& options)
-    : topology_(config.num_sites, static_cast<int>(shard_faults.size())) {
-  DWRS_CHECK(!options.dir.empty()) << " durability dir is required";
-  DWRS_CHECK(EnsureDir(options.dir))
-      << " cannot create durability dir " << options.dir;
-  shards_.reserve(shard_faults.size());
-  for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-    WsworConfig shard_config = config;
-    shard_config.num_sites = topology_.SiteCount(shard);
-    shard_config.seed = ShardSeed(config.seed, shard);
-    DurabilityOptions shard_options = options;
-    shard_options.dir = options.dir + "/shard-" + std::to_string(shard);
-    shards_.push_back(std::make_unique<DurableWswor>(
-        shard_config, shard_faults[static_cast<size_t>(shard)], backend,
-        shard_options, /*trace_shard=*/shard));
-  }
-}
-
-void ShardedDurableWswor::Run(const Workload& workload) {
-  const std::vector<Workload> splits = SplitByShard(workload, topology_);
-  for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-    shards_[static_cast<size_t>(shard)]->Run(
-        splits[static_cast<size_t>(shard)]);
-  }
-}
-
-faults::RunReport ShardedDurableWswor::report() const {
-  faults::RunReport out;
-  out.transcript_hash = 1469598103934665603ull;  // FNV offset basis
-  out.clean = true;
-  for (const auto& shard : shards_) {
-    const faults::RunReport r = shard->report();
-    for (int b = 0; b < 64; b += 8) {
-      out.transcript_hash ^= (r.transcript_hash >> b) & 0xffull;
-      out.transcript_hash *= 1099511628211ull;  // FNV prime
-    }
-    out.delivered += r.delivered;
-    out.crashes += r.crashes;
-    out.crash_detections += r.crash_detections;
-    out.resyncs_sent += r.resyncs_sent;
-    out.lost_unacked += r.lost_unacked;
-    out.items_lost += r.items_lost;
-    out.duplicates_dropped += r.duplicates_dropped;
-    out.gaps_detected += r.gaps_detected;
-    out.nacks_sent += r.nacks_sent;
-    out.retransmits_sent += r.retransmits_sent;
-    out.stale_epoch_dropped += r.stale_epoch_dropped;
-    out.messages_dropped_down += r.messages_dropped_down;
-    out.faults_forwarded += r.faults_forwarded;
-    out.faults_dropped += r.faults_dropped;
-    out.faults_duplicated += r.faults_duplicated;
-    out.faults_delayed += r.faults_delayed;
-    out.process_kills += r.process_kills;
-    out.recoveries += r.recoveries;
-    out.wal_records_logged += r.wal_records_logged;
-    out.wal_records_replayed += r.wal_records_replayed;
-    out.checkpoints_written += r.checkpoints_written;
-    out.recovery_consistent = out.recovery_consistent && r.recovery_consistent;
-    out.clean = out.clean && r.clean;
-  }
-  return out;
-}
-
-MergeableSample ShardedDurableWswor::MergedSample() const {
-  std::vector<MergeableSample> summaries;
-  summaries.reserve(shards_.size());
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    summaries.push_back(
-        sim::CheckedShardSummary(&shards_[shard]->coordinator(), shard));
-  }
-  return MergeShardSamples(summaries);
-}
-
-std::vector<uint64_t> ShardedDurableWswor::MergedSampleIds() const {
-  std::vector<uint64_t> ids;
-  for (const KeyedItem& ki : MergedSample().TopEntries()) {
-    ids.push_back(ki.item.id);
-  }
-  return ids;
-}
+    : ShardedHarness(
+          config, static_cast<int>(shard_faults.size()),
+          [&](int shard, const WsworConfig& shard_config) {
+            DWRS_CHECK(!options.dir.empty()) << " durability dir is required";
+            DWRS_CHECK(EnsureDir(options.dir))
+                << " cannot create durability dir " << options.dir;
+            DurabilityOptions shard_options = options;
+            shard_options.dir = options.dir + "/shard-" + std::to_string(shard);
+            return std::make_unique<DurableWswor>(
+                shard_config, shard_faults[static_cast<size_t>(shard)],
+                backend, shard_options, /*trace_shard=*/shard);
+          }) {}
 
 }  // namespace dwrs::durability

@@ -1,5 +1,5 @@
 // Durable shard harness: the fault harness's protocol stack (endpoints
-// in reliability sessions over a FaultyTransport over either backend,
+// in reliability sessions over a FaultyTransport over one sim::Executor,
 // faults/harness.h) extended with a write-ahead log and periodic
 // checkpoints, so the whole shard process can be killed (kill -9
 // semantics: every volatile byte gone, including un-committed WAL
@@ -74,11 +74,10 @@
 #include "durability/checkpoint.h"
 #include "durability/records.h"
 #include "durability/wal.h"
-#include "engine/engine.h"
 #include "faults/harness.h"
 #include "obs/tracing_transport.h"
 #include "sampling/mergeable_sample.h"
-#include "sim/runtime.h"
+#include "sim/executor.h"
 #include "stream/sharding.h"
 #include "stream/workload.h"
 
@@ -278,8 +277,6 @@ class DurableWswor {
   void WriteCheckpoint(uint64_t step);
   void OpenSegment(uint64_t seq, bool truncate);
   void AppendHarnessRecord(const WalRecord& record);
-  void FlushBackend();
-  void Reconcile();
   ShardCheckpoint CaptureCheckpoint(uint64_t step) const;
   void RestoreFromCheckpoint(const ShardCheckpoint& c);
 
@@ -291,8 +288,7 @@ class DurableWswor {
   int num_sites_;
 
   // The stack (rebuilt from scratch on every recovery).
-  std::unique_ptr<sim::Runtime> runtime_;
-  std::unique_ptr<engine::Engine> engine_;
+  std::unique_ptr<sim::Executor> executor_;
   std::unique_ptr<faults::FaultyTransport> faulty_;
   std::unique_ptr<obs::TracingTransport> tracing_;
   std::unique_ptr<SwitchableTransport> switchable_;
@@ -332,30 +328,14 @@ class DurableWswor {
 
 // Sharded composition: one DurableWswor per shard, each with its own
 // subdirectory (`<dir>/shard-<j>`), fault schedule and kill timeline;
-// the root merge combines the shard coordinators' summaries exactly as
-// the non-durable sharded harness does.
-class ShardedDurableWswor {
+// split, report fold and root merge are the non-durable sharded
+// harness's (faults::ShardedHarness).
+class ShardedDurableWswor : public faults::ShardedHarness<DurableWswor> {
  public:
   ShardedDurableWswor(const WsworConfig& config,
                       const std::vector<faults::FaultConfig>& shard_faults,
                       faults::Backend backend,
                       const DurabilityOptions& options);
-
-  void Run(const Workload& workload);
-
-  faults::RunReport report() const;
-  MergeableSample MergedSample() const;
-  std::vector<uint64_t> MergedSampleIds() const;
-
-  DurableWswor& shard(int j) { return *shards_[static_cast<size_t>(j)]; }
-  const DurableWswor& shard(int j) const {
-    return *shards_[static_cast<size_t>(j)];
-  }
-  const ShardTopology& topology() const { return topology_; }
-
- private:
-  ShardTopology topology_;
-  std::vector<std::unique_ptr<DurableWswor>> shards_;
 };
 
 }  // namespace dwrs::durability

@@ -12,6 +12,8 @@
 //   SlidingWindowWswor / DistributedWindowWswor — sliding windows (§6)
 //   CascadeSampler            — [7]'s chained SWOR
 //   swor estimators           — subset sums from the coordinator sample
+//   sim::Executor             — the execution seam: sim::Runtime and
+//                               engine::Engine (sim/executor.h)
 //   engine::Engine            — concurrent execution backend (threaded
 //                               sites, batched ingestion; src/engine/)
 //   engine::ShardedEngine     — sharded multi-coordinator topology with

@@ -1,4 +1,7 @@
-// Configuration of the concurrent execution engine.
+// Configuration of the concurrent execution engine. Every field tunes the
+// pipelined engine; none selects an execution mode. Step-synchronous
+// replay (bit-identical to sim::Runtime) is not a setting: it is one
+// Engine::Deliver per event (sim::DeliverEach in sim/executor.h).
 
 #ifndef DWRS_ENGINE_CONFIG_H_
 #define DWRS_ENGINE_CONFIG_H_
@@ -45,15 +48,6 @@ struct EngineConfig {
   // promptly while the hot loop stays free of synchronization. Smaller
   // values tighten control latency; larger values maximize span length.
   size_t control_poll_stride = 64;
-
-  // When true, Run() quiesces the whole engine after every event before
-  // invoking the per-step hook. The execution is then bit-identical to
-  // sim::Runtime with zero delivery delay (same endpoint callbacks in the
-  // same order with the same RNG draws) — the mode the equivalence tests
-  // run — at the price of destroying pipelining. Passing an on_step hook
-  // to Run() forces this behaviour for the duration of that Run, since
-  // querying endpoints is only legal at quiesce points.
-  bool step_synchronous = false;
 
   // Shard label stamped on this engine's flight-recorder events (the
   // sharded backend sets it per shard; standalone engines leave it 0).

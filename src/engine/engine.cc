@@ -154,17 +154,21 @@ void Engine::Flush() {
   CollectSiteCounters();
 }
 
+void Engine::Deliver(const WorkloadEvent& event) {
+  Push(event.site, event.item);
+  Flush();
+}
+
 void Engine::Run(const Workload& workload,
                  const std::function<void(uint64_t)>& on_step) {
   DWRS_CHECK_EQ(workload.num_sites(), config_.num_sites);
-  if (!started_) Start();
-  const bool step_synchronous = config_.step_synchronous || on_step != nullptr;
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    const WorkloadEvent& event = workload.event(i);
-    Push(event.site, event.item);
-    if (step_synchronous) {
-      Flush();
-      if (on_step) on_step(i + 1);
+  if (on_step) {
+    // The hook may query endpoints, which is legal only at quiesce points.
+    sim::DeliverEach(*this, workload, on_step);
+  } else {
+    for (uint64_t i = 0; i < workload.size(); ++i) {
+      const WorkloadEvent& event = workload.event(i);
+      Push(event.site, event.item);
     }
   }
   Flush();
@@ -177,13 +181,11 @@ void Engine::RunPaced(const Workload& workload,
   uint64_t total = 0;
   for (uint32_t b : batches) total += b;
   DWRS_CHECK_EQ(total, workload.size());
-  if (!started_) Start();
   uint64_t pos = 0;
   for (uint32_t b : batches) {
     for (uint32_t j = 0; j < b; ++j) {
       const WorkloadEvent& event = workload.event(pos++);
       Push(event.site, event.item);
-      if (config_.step_synchronous) Flush();
     }
     if (on_round) {
       Flush();

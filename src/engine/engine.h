@@ -1,14 +1,15 @@
-// The concurrent execution engine: the production-oriented counterpart of
-// the step-synchronous sim::Runtime. Sites are *logical*: each is a unit
-// of per-site state (bounded SPSC queue of ingestion batches + control
-// inbox) multiplexed over a fixed work-stealing worker pool (see
-// scheduler.h), so k is bounded by memory, not by thread count; protocol
-// messages flow to a dedicated coordinator thread over a bounded MPSC
-// channel with end-to-end backpressure; coordinator->site control traffic
-// returns over per-site channels. Endpoints implement the same
-// sim::SiteNode / sim::CoordinatorNode / sim::Transport interfaces as
-// under the simulator (sim/node.h), so WsworSite/WsworCoordinator, the
-// naive baseline, and the unweighted substrate run unmodified on either
+// The concurrent execution engine: the pipelined sim::Executor
+// (sim/executor.h), next to the simulator's reference sim::Runtime.
+// Sites are *logical*: each is a unit of per-site state (bounded SPSC
+// queue of ingestion batches + control inbox) multiplexed over a fixed
+// work-stealing worker pool (see scheduler.h), so k is bounded by
+// memory, not by thread count; protocol messages flow to a dedicated
+// coordinator thread over a bounded MPSC channel with end-to-end
+// backpressure; coordinator->site control traffic returns over per-site
+// channels. Endpoints implement the same sim::SiteNode /
+// sim::CoordinatorNode / sim::Transport interfaces as under the
+// simulator (sim/node.h), so WsworSite/WsworCoordinator, the naive
+// baseline, and the unweighted substrate run unmodified on either
 // backend.
 //
 //   engine::Engine eng({.num_sites = k});
@@ -18,11 +19,12 @@
 //   eng.Run(workload);          // batched, pipelined; quiescent on return
 //   auto sample = coord.Sample();  // legal: Run ends at a quiesce point
 //
-// Querying endpoints is legal exactly at quiesce points — after Run() or
-// Flush() returns, or inside a Run() on_step hook (which forces
-// step-synchronous execution). The quiesce handshake establishes the
-// happens-before edge that makes worker-thread writes visible to the
-// caller; see the threading contract in core/coordinator.h.
+// Querying endpoints is legal exactly at quiesce points — after Run(),
+// Flush() or Deliver() returns, or inside a Run() on_step hook (which
+// makes the run one Deliver per event). The quiesce handshake
+// establishes the happens-before edge that makes worker-thread writes
+// visible to the caller; see the threading contract in
+// core/coordinator.h.
 //
 // Ingestion (Push/Run/Flush) is single-threaded by contract: the calling
 // thread is the feeder and the single producer of every item queue.
@@ -55,13 +57,14 @@
 #include "engine/coordinator_worker.h"
 #include "engine/scheduler.h"
 #include "engine/stats.h"
+#include "sim/executor.h"
 #include "sim/node.h"
 #include "stream/item.h"
 #include "stream/workload.h"
 
 namespace dwrs::engine {
 
-class Engine : public sim::Transport {
+class Engine final : public sim::Executor, public sim::Transport {
  public:
   explicit Engine(const EngineConfig& config);
   ~Engine() override;
@@ -71,7 +74,7 @@ class Engine : public sim::Transport {
 
   // The transport endpoints are constructed against (mirrors
   // sim::Runtime::network()).
-  sim::Transport& transport() { return *this; }
+  sim::Transport& transport() override { return *this; }
   int num_sites() const { return config_.num_sites; }
   // Resolved size of the scheduler's worker pool (config().num_workers
   // with 0 = auto resolved; see EngineConfig).
@@ -88,8 +91,8 @@ class Engine : public sim::Transport {
 
   // Non-owning; endpoints must outlive the engine. All sites and the
   // coordinator must be attached before the first Push/Run/Flush.
-  void AttachSite(int site, sim::SiteNode* node);
-  void AttachCoordinator(sim::CoordinatorNode* node);
+  void AttachSite(int site, sim::SiteNode* node) override;
+  void AttachCoordinator(sim::CoordinatorNode* node) override;
 
   // Installs a snapshot-publication hook that the coordinator thread
   // invokes after every processed message (before the message's
@@ -115,13 +118,21 @@ class Engine : public sim::Transport {
   // Hands off all partial batches and blocks until the engine is fully
   // quiescent: all item queues drained, all messages processed, no
   // endpoint callback running. On return, querying endpoints is legal.
-  void Flush();
+  void Flush() override;
+
+  // Push(event) then Flush(): the step-synchronous primitive. Replays
+  // sim::Runtime bit for bit, at the price of all pipelining.
+  void Deliver(const WorkloadEvent& event) override;
+
+  // Traffic counters (quiesce points only).
+  sim::MessageStats MessageSnapshot() const override {
+    return stats_.MessageSnapshot();
+  }
 
   // Runs the full workload and ends with Flush(). If `on_step` is set the
-  // run is step-synchronous: the engine quiesces after every event and
-  // invokes the hook with the 1-based prefix length — the continuous-
-  // query mode, mirroring sim::Runtime::Run. With config().step_synchronous
-  // the same pacing applies even without a hook.
+  // run is step-synchronous — one Deliver per event, then the hook with
+  // the 1-based prefix length — the continuous-query mode, mirroring
+  // sim::Runtime::Run.
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr);
 
@@ -131,17 +142,14 @@ class Engine : public sim::Transport {
   // at their modeled rates instead of one steady drip. `batches` must sum
   // to workload.size(). If `on_round` is set the engine quiesces at each
   // round boundary and invokes it with the 1-based prefix length (items
-  // fed so far). With config().step_synchronous the engine quiesces after
-  // every event — the pacing then changes nothing observable and the run
-  // is bit-identical to Run() and to the simulator, which is what lets
-  // paced scenario cells be replayed exactly for the envelope gate.
+  // fed so far). Between round boundaries the run is pipelined.
   void RunPaced(const Workload& workload, const std::vector<uint32_t>& batches,
                 const std::function<void(uint64_t)>& on_round = nullptr);
 
   // Stops and joins all worker threads (idempotent; the destructor calls
   // it). Pending un-flushed work may be dropped; call Flush() first for a
   // clean end of stream.
-  void Shutdown();
+  void Shutdown() override;
 
   // --- sim::Transport (called from worker threads) --------------------
   void SendToCoordinator(int site, const sim::Payload& msg) override;
@@ -149,7 +157,7 @@ class Engine : public sim::Transport {
   void Broadcast(const sim::Payload& msg) override;
   // Events handed off to workers so far. Runs ahead of any individual
   // endpoint's progress by at most the queued batches (exact at quiesce
-  // points and in step-synchronous mode).
+  // points, hence after every Deliver).
   uint64_t step() const override {
     return steps_.load(std::memory_order_relaxed);
   }

@@ -315,7 +315,14 @@ void Scheduler::RunSite(int worker, LogicalSite* site) {
                                             std::memory_order_acquire)) {
       return;
     }
-    site->sched.store(kSiteRunning, std::memory_order_relaxed);
+    // Reclaim the site with an RMW, not a plain store: a second producer
+    // may have pushed and made its release RMW (kSiteNotified ->
+    // kSiteNotified) after our failed CAS read. A store would not
+    // synchronize with it, so the re-drain could miss that push and the
+    // next idle CAS would park the site with a batch queued (Flush then
+    // waits forever). The exchange reads the latest value, acquiring
+    // every notification made so far.
+    site->sched.exchange(kSiteRunning, std::memory_order_acq_rel);
   }
 }
 

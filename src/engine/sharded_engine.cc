@@ -6,9 +6,7 @@
 namespace dwrs::engine {
 
 ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
-    : config_(config),
-      topology_(config.num_sites, config.num_shards),
-      coordinators_(static_cast<size_t>(config.num_shards), nullptr) {
+    : Sharded(config.num_sites, config.num_shards) {
   shards_.reserve(static_cast<size_t>(config.num_shards));
   for (int shard = 0; shard < config.num_shards; ++shard) {
     EngineConfig shard_config = config.shard;
@@ -23,18 +21,6 @@ ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
     }
     shards_.push_back(std::make_unique<Engine>(shard_config));
   }
-}
-
-void ShardedEngine::AttachSite(int site, sim::SiteNode* node) {
-  const int shard = topology_.ShardOf(site);
-  shards_[Index(shard)]->AttachSite(topology_.LocalOf(site), node);
-}
-
-void ShardedEngine::AttachShardCoordinator(int shard,
-                                           sim::CoordinatorNode* node) {
-  DWRS_CHECK(node != nullptr);
-  shards_[Index(shard)]->AttachCoordinator(node);
-  coordinators_[Index(shard)] = node;
 }
 
 void ShardedEngine::SetShardSnapshotHook(int shard,
@@ -52,24 +38,15 @@ void ShardedEngine::Push(int site, const Item* items, size_t n) {
   shards_[Index(shard)]->Push(topology_.LocalOf(site), items, n);
 }
 
-void ShardedEngine::Flush() {
-  for (auto& shard : shards_) shard->Flush();
-}
-
 void ShardedEngine::Run(const Workload& workload,
                         const std::function<void(uint64_t)>& on_step) {
   DWRS_CHECK_EQ(workload.num_sites(), topology_.num_sites());
-  const bool step_synchronous =
-      config_.shard.step_synchronous || on_step != nullptr;
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    const WorkloadEvent& event = workload.event(i);
-    const int shard = topology_.ShardOf(event.site);
-    shards_[Index(shard)]->Push(topology_.LocalOf(event.site), event.item);
-    if (step_synchronous) {
-      // Only the owning shard can have in-flight work: quiescing it alone
-      // reproduces sim::ShardedRuntime's per-event delivery exactly.
-      shards_[Index(shard)]->Flush();
-      if (on_step) on_step(i + 1);
+  if (on_step) {
+    sim::DeliverEach(*this, workload, on_step);
+  } else {
+    for (uint64_t i = 0; i < workload.size(); ++i) {
+      const WorkloadEvent& event = workload.event(i);
+      Push(event.site, event.item);
     }
   }
   Flush();
@@ -77,15 +54,6 @@ void ShardedEngine::Run(const Workload& workload,
 
 void ShardedEngine::Shutdown() {
   for (auto& shard : shards_) shard->Shutdown();
-}
-
-MergeableSample ShardedEngine::MergedSample() const {
-  std::vector<MergeableSample> summaries;
-  summaries.reserve(coordinators_.size());
-  for (size_t shard = 0; shard < coordinators_.size(); ++shard) {
-    summaries.push_back(sim::CheckedShardSummary(coordinators_[shard], shard));
-  }
-  return MergeShardSamples(summaries);
 }
 
 sim::MessageStats ShardedEngine::AggregateMessageSnapshot() const {

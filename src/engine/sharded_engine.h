@@ -1,5 +1,6 @@
-// Sharded multi-coordinator topology over the concurrent engine: the k
-// sites are partitioned across S shard coordinators, each an unmodified
+// Sharded multi-coordinator topology over the concurrent engine
+// (sim::Sharded, sim/sharded.h, over engine::Engine): the k sites are
+// partitioned across S shard coordinators, each an unmodified
 // engine::Engine — a per-shard work-stealing worker pool of logical
 // sites feeding a dedicated shard coordinator thread over the shard's
 // own bounded MPSC channel (an auto worker budget is split across the
@@ -29,6 +30,8 @@
 //
 // Query legality, teardown, and the single-feeder ingestion contract are
 // exactly engine::Engine's (see engine/engine.h), applied per shard.
+// Deliver(event) is the owning shard's Engine::Deliver, so
+// sim::DeliverEach replays sim::ShardedRuntime bit for bit.
 
 #ifndef DWRS_ENGINE_SHARDED_ENGINE_H_
 #define DWRS_ENGINE_SHARDED_ENGINE_H_
@@ -39,7 +42,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "stream/sharding.h"
+#include "sim/sharded.h"
 
 namespace dwrs::engine {
 
@@ -50,24 +53,12 @@ struct ShardedEngineConfig {
   EngineConfig shard;
 };
 
-class ShardedEngine {
+class ShardedEngine : public sim::Sharded<Engine> {
  public:
   explicit ShardedEngine(const ShardedEngineConfig& config);
 
-  const ShardTopology& topology() const { return topology_; }
-  int num_sites() const { return topology_.num_sites(); }
-  int num_shards() const { return topology_.num_shards(); }
-
-  // The transport endpoints of shard `shard` are constructed against.
-  sim::Transport& shard_transport(int shard) {
-    return shard_engine(shard).transport();
-  }
   Engine& shard_engine(int shard) { return *shards_[Index(shard)]; }
   const Engine& shard_engine(int shard) const { return *shards_[Index(shard)]; }
-
-  // Non-owning; global site index (node built with the LOCAL index).
-  void AttachSite(int site, sim::SiteNode* node);
-  void AttachShardCoordinator(int shard, sim::CoordinatorNode* node);
 
   // Installs shard `shard`'s snapshot-publication hook, invoked on that
   // shard's coordinator thread after every processed message (see
@@ -80,22 +71,14 @@ class ShardedEngine {
   void Push(int site, const Item& item);
   void Push(int site, const Item* items, size_t n);
 
-  // Quiesces every shard; afterwards querying endpoints and
-  // MergedSample() is legal.
-  void Flush();
-
   // Runs the full global workload and ends with Flush(). An on_step hook
-  // (or shard.step_synchronous) forces step-synchronous execution —
-  // quiescing the owning shard after every event — which replays
-  // sim::ShardedRuntime bit for bit.
+  // makes the run step-synchronous (one Deliver per event, then the
+  // hook), which replays sim::ShardedRuntime bit for bit.
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr);
 
   // Stops and joins all shard worker threads (idempotent).
   void Shutdown();
-
-  // Root merge stage over the attached shard coordinators' summaries.
-  MergeableSample MergedSample() const;
 
   // Traffic summed over shards (quiesce points only); per-shard stats —
   // including per-shard message counts — via shard_engine(j).stats().
@@ -104,17 +87,6 @@ class ShardedEngine {
 
   // Global events handed off so far (sum of shard step clocks).
   uint64_t steps() const;
-
- private:
-  size_t Index(int shard) const {
-    DWRS_CHECK(shard >= 0 && shard < topology_.num_shards());
-    return static_cast<size_t>(shard);
-  }
-
-  const ShardedEngineConfig config_;
-  ShardTopology topology_;
-  std::vector<std::unique_ptr<Engine>> shards_;
-  std::vector<sim::CoordinatorNode*> coordinators_;
 };
 
 }  // namespace dwrs::engine

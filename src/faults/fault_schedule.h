@@ -5,9 +5,9 @@
 // message faults and a (site, per-site item index) pair for crashes.
 // Because the coordinates are per-channel/per-site counters rather than
 // wall-clock or global state, the same seed produces the same schedule on
-// the single-threaded simulator and on the concurrent engine in
-// step-synchronous mode: a failing run is replayable bit for bit from its
-// seed alone.
+// the single-threaded simulator and on the concurrent engine fed one
+// Deliver per event (sim/executor.h): a failing run is replayable bit for
+// bit from its seed alone.
 
 #ifndef DWRS_FAULTS_FAULT_SCHEDULE_H_
 #define DWRS_FAULTS_FAULT_SCHEDULE_H_

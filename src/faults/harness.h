@@ -1,6 +1,7 @@
 // Fault harness: assembles a full protocol stack — endpoints wrapped in
-// reliability sessions, over a FaultyTransport, over either execution
-// backend — runs a workload through it, and reconciles at end of stream.
+// reliability sessions, over a FaultyTransport, over one sim::Executor
+// (sim/executor.h; MakeExecutor picks the backend) — runs a workload
+// through it, and reconciles at end of stream.
 //
 //   faults::FaultyRun<faults::WsworFaultTraits> run(config, fault_config,
 //                                                   faults::Backend::kSim);
@@ -16,8 +17,9 @@
 // results are always detectable, never silent.
 //
 // Determinism: given (protocol seed, fault seed, workload), two runs on
-// the same backend are bit-identical, and the simulator and the
-// step-synchronous engine produce the same delivery transcript.
+// the same backend are bit-identical. The stack feeds its executor one
+// Deliver per event, so the simulator and the engine produce the same
+// delivery transcript.
 
 #ifndef DWRS_FAULTS_HARNESS_H_
 #define DWRS_FAULTS_HARNESS_H_
@@ -31,7 +33,6 @@
 #include "core/config.h"
 #include "core/coordinator.h"
 #include "core/site.h"
-#include "engine/engine.h"
 #include "faults/fault_schedule.h"
 #include "faults/faulty_transport.h"
 #include "faults/session.h"
@@ -39,7 +40,7 @@
 #include "obs/tracing_transport.h"
 #include "random/rng.h"
 #include "sampling/mergeable_sample.h"
-#include "sim/runtime.h"
+#include "sim/executor.h"
 #include "stream/sharding.h"
 #include "stream/workload.h"
 #include "unweighted/distributed_swor.h"
@@ -48,6 +49,11 @@
 namespace dwrs::faults {
 
 enum class Backend { kSim, kEngine };
+
+// The one place a Backend is read: the executor a fault or durable stack
+// runs on. `trace_shard` labels the engine's flight-recorder events.
+std::unique_ptr<sim::Executor> MakeExecutor(Backend backend, int num_sites,
+                                            int trace_shard);
 
 // Independent randomness per site incarnation: a restarted site must not
 // replay its previous key stream.
@@ -98,13 +104,29 @@ struct RunReport {
   bool clean = false;
 };
 
+// The session-layer and fault-transport counters of one stack, with
+// `clean` set iff nothing was wiped by a crash and every gap resolved.
+RunReport SessionReport(
+    const CoordinatorSession& coordinator_session,
+    const std::vector<std::unique_ptr<SiteSession>>& site_sessions,
+    const FaultyTransport& faulty);
+
+// Per-shard reports folded into one: counters add, `clean` and
+// `recovery_consistent` hold iff they hold on every shard, and
+// `transcript_hash` folds the shard hashes (FNV-1a) in shard order.
+RunReport CombineShardReports(const std::vector<RunReport>& shards);
+
+// End-of-stream reconcile under a healed network: faults off, withheld
+// messages released, every unacked message retransmitted, repeated until
+// the site retransmit buffers drain.
+void Reconcile(FaultyTransport& faulty, sim::Executor& executor,
+               const std::vector<std::unique_ptr<SiteSession>>& site_sessions);
+
 // --- per-protocol traits ----------------------------------------------
 
 struct WsworFaultTraits {
   using Config = WsworConfig;
   using Coordinator = WsworCoordinator;
-  static int NumSites(const Config& config) { return config.num_sites; }
-  static uint64_t Seed(const Config& config) { return config.seed; }
   static std::unique_ptr<sim::SiteNode> MakeSite(const Config& config,
                                                  int site,
                                                  sim::Transport* transport,
@@ -128,8 +150,6 @@ struct WsworFaultTraits {
 struct UsworFaultTraits {
   using Config = UsworConfig;
   using Coordinator = UsworCoordinator;
-  static int NumSites(const Config& config) { return config.num_sites; }
-  static uint64_t Seed(const Config& config) { return config.seed; }
   static std::unique_ptr<sim::SiteNode> MakeSite(const Config& config,
                                                  int site,
                                                  sim::Transport* transport,
@@ -153,8 +173,6 @@ struct UsworFaultTraits {
 struct L1FaultTraits {
   using Config = L1TrackerConfig;
   using Coordinator = WsworCoordinator;
-  static int NumSites(const Config& config) { return config.num_sites; }
-  static uint64_t Seed(const Config& config) { return config.seed; }
   static std::unique_ptr<sim::SiteNode> MakeSite(const Config& config,
                                                  int site,
                                                  sim::Transport* transport,
@@ -189,20 +207,11 @@ class FaultyRun {
   // sharded harness passes the shard index; unsharded runs default to 0).
   FaultyRun(const Config& config, const FaultConfig& fault_config,
             Backend backend, int trace_shard = 0)
-      : schedule_(fault_config), num_sites_(Traits::NumSites(config)) {
-    if (backend == Backend::kSim) {
-      runtime_ = std::make_unique<sim::Runtime>(num_sites_);
-    } else {
-      engine::EngineConfig engine_config;
-      engine_config.num_sites = num_sites_;
-      engine_config.step_synchronous = true;
-      engine_config.trace_shard = trace_shard;
-      engine_ = std::make_unique<engine::Engine>(engine_config);
-    }
-    sim::Transport* inner =
-        engine_ ? &engine_->transport()
-                : static_cast<sim::Transport*>(&runtime_->network());
-    faulty_ = std::make_unique<FaultyTransport>(inner, &schedule_, num_sites_);
+      : schedule_(fault_config),
+        num_sites_(config.num_sites),
+        executor_(MakeExecutor(backend, num_sites_, trace_shard)) {
+    faulty_ = std::make_unique<FaultyTransport>(&executor_->transport(),
+                                                &schedule_, num_sites_);
     faulty_->set_trace_shard(trace_shard);
     // Sessions and endpoints send through the tracing decorator, so every
     // message is recorded as it enters the network, before the fault
@@ -212,7 +221,7 @@ class FaultyRun {
 
     // Seed derivation mirrors the reliable facades exactly: one master
     // draw per site in index order, then the coordinator's.
-    Rng master(Traits::Seed(config));
+    Rng master(config.seed);
     std::vector<uint64_t> site_seeds;
     site_seeds.reserve(static_cast<size_t>(num_sites_));
     for (int i = 0; i < num_sites_; ++i) site_seeds.push_back(master.NextU64());
@@ -234,94 +243,34 @@ class FaultyRun {
                                     RestartSeed(seed, epoch));
           }));
       site_sessions_.back()->set_trace_shard(trace_shard);
-      if (runtime_) {
-        runtime_->AttachSite(i, site_sessions_.back().get());
-      } else {
-        engine_->AttachSite(i, site_sessions_.back().get());
-      }
+      executor_->AttachSite(i, site_sessions_.back().get());
     }
-    if (runtime_) {
-      runtime_->AttachCoordinator(coordinator_session_.get());
-    } else {
-      engine_->AttachCoordinator(coordinator_session_.get());
-    }
+    executor_->AttachCoordinator(coordinator_session_.get());
   }
 
   ~FaultyRun() {
-    // The engine joins its worker threads before any endpoint or the
-    // transport stack is destroyed (see the teardown contract in
-    // engine/engine.h).
-    if (engine_) engine_->Shutdown();
+    // Backend threads stop before any endpoint or the transport stack is
+    // destroyed (see the teardown contract in engine/engine.h).
+    executor_->Shutdown();
   }
 
   FaultyRun(const FaultyRun&) = delete;
   FaultyRun& operator=(const FaultyRun&) = delete;
 
-  // Streams the workload and reconciles. Querying the coordinator is
-  // legal afterwards. If `on_step` is set, it is invoked after every
-  // event with the 1-based prefix length, at a quiesce point of the
-  // backend (the engine backend is step-synchronous by construction, so
-  // the hook may query the coordinator, the session, and the live-query
-  // snapshot layer) — the per-step query transcript the property sweep
-  // compares across backends.
+  // Streams the workload, one Deliver per event, and reconciles.
+  // Querying the coordinator is legal afterwards. If `on_step` is set, it
+  // is invoked after every event with the 1-based prefix length, at a
+  // quiesce point of the backend (so the hook may query the coordinator,
+  // the session, and the live-query snapshot layer) — the per-step query
+  // transcript the property sweep compares across backends.
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr) {
-    if (runtime_) {
-      runtime_->Run(workload, on_step);
-    } else {
-      engine_->Run(workload, on_step);
-    }
-    Reconcile();
-  }
-
-  // End-of-stream reconcile under a healed network: release withheld
-  // messages, retransmit every unacked message, repeat until drained.
-  void Reconcile() {
-    faulty_->set_enabled(false);
-    for (int round = 0; round < kMaxReconcileRounds; ++round) {
-      faulty_->FlushDelayed();
-      FlushBackend();
-      bool drained = true;
-      for (const auto& session : site_sessions_) {
-        if (session->unacked_size() != 0) drained = false;
-      }
-      if (drained) break;
-      for (const auto& session : site_sessions_) {
-        session->RetransmitAllUnacked();
-      }
-      FlushBackend();
-    }
-    for (const auto& session : site_sessions_) {
-      DWRS_CHECK_EQ(session->unacked_size(), 0u)
-          << " reconcile failed to drain site retransmit buffers";
-    }
+    sim::DeliverEach(*executor_, workload, on_step);
+    faults::Reconcile(*faulty_, *executor_, site_sessions_);
   }
 
   RunReport report() const {
-    RunReport out;
-    out.transcript_hash = coordinator_session_->transcript_hash();
-    out.delivered = coordinator_session_->delivered();
-    out.crash_detections = coordinator_session_->crash_detections();
-    out.resyncs_sent = coordinator_session_->resyncs_sent();
-    out.duplicates_dropped = coordinator_session_->duplicates_dropped();
-    out.gaps_detected = coordinator_session_->gaps_detected();
-    out.nacks_sent = coordinator_session_->nacks_sent();
-    out.stale_epoch_dropped = coordinator_session_->stale_epoch_dropped();
-    for (const auto& session : site_sessions_) {
-      out.crashes += session->crashes();
-      out.lost_unacked += session->lost_unacked();
-      out.items_lost += session->items_lost();
-      out.retransmits_sent += session->retransmits_sent();
-      out.messages_dropped_down += session->messages_dropped_down();
-    }
-    const FaultCounters& fc = faulty_->counters();
-    out.faults_forwarded = fc.forwarded.load(std::memory_order_relaxed);
-    out.faults_dropped = fc.dropped.load(std::memory_order_relaxed);
-    out.faults_duplicated = fc.duplicated.load(std::memory_order_relaxed);
-    out.faults_delayed = fc.delayed.load(std::memory_order_relaxed);
-    out.clean =
-        out.lost_unacked == 0 && coordinator_session_->AllGapsResolved();
-    return out;
+    return SessionReport(*coordinator_session_, site_sessions_, *faulty_);
   }
 
   std::vector<uint64_t> SampleIds() const {
@@ -339,20 +288,9 @@ class FaultyRun {
   int num_sites() const { return num_sites_; }
 
  private:
-  static constexpr int kMaxReconcileRounds = 8;
-
-  void FlushBackend() {
-    if (runtime_) {
-      runtime_->Flush();
-    } else {
-      engine_->Flush();
-    }
-  }
-
   FaultSchedule schedule_;
   const int num_sites_;
-  std::unique_ptr<sim::Runtime> runtime_;    // exactly one backend is set
-  std::unique_ptr<engine::Engine> engine_;
+  std::unique_ptr<sim::Executor> executor_;
   std::unique_ptr<FaultyTransport> faulty_;
   std::unique_ptr<obs::TracingTransport> tracing_;
   std::unique_ptr<Coordinator> coordinator_;
@@ -375,29 +313,23 @@ using FaultyL1 = FaultyRun<L1FaultTraits>;
 // per-shard arrival order preserved); shard runs replay each other's
 // transcripts bit for bit whether executed sequentially or interleaved,
 // because shards share no state and every fault decision is a function
-// of per-shard counters only.
-template <typename Traits>
-class ShardedFaultyRun {
+// of per-shard counters only. ShardedHarness holds the shards — FaultyRun
+// here, durability::DurableWswor in durability/durable_shard.h — and does
+// the split, the report fold and the root merge for both.
+template <typename Shard>
+class ShardedHarness {
  public:
-  using Config = typename Traits::Config;
-  using Coordinator = typename Traits::Coordinator;
-
-  // `config.num_sites` is the global k; `shard_faults[j]` is shard j's
-  // fault schedule (one entry per shard — faults are per-shard state).
-  // Shard protocol seeds derive from the global seed via ShardSeed.
-  ShardedFaultyRun(const Config& config,
-                   const std::vector<FaultConfig>& shard_faults,
-                   Backend backend)
-      : topology_(Traits::NumSites(config),
-                  static_cast<int>(shard_faults.size())) {
-    shards_.reserve(shard_faults.size());
-    for (int shard = 0; shard < topology_.num_shards(); ++shard) {
+  // `config.num_sites` is the global k. Shard j is built by
+  // make_shard(j, shard_config), where shard_config is `config` with
+  // shard j's site count and a protocol seed derived via ShardSeed.
+  template <typename Config, typename MakeShard>
+  ShardedHarness(const Config& config, int num_shards, MakeShard make_shard)
+      : topology_(config.num_sites, num_shards) {
+    for (int shard = 0; shard < num_shards; ++shard) {
       Config shard_config = config;
       shard_config.num_sites = topology_.SiteCount(shard);
-      shard_config.seed = ShardSeed(Traits::Seed(config), shard);
-      shards_.push_back(std::make_unique<FaultyRun<Traits>>(
-          shard_config, shard_faults[static_cast<size_t>(shard)], backend,
-          /*trace_shard=*/shard));
+      shard_config.seed = ShardSeed(config.seed, shard);
+      shards_.push_back(make_shard(shard, shard_config));
     }
   }
 
@@ -405,54 +337,25 @@ class ShardedFaultyRun {
   // its own end of stream). Querying is legal afterwards.
   void Run(const Workload& workload) {
     const std::vector<Workload> splits = SplitByShard(workload, topology_);
-    for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-      shards_[static_cast<size_t>(shard)]->Run(
-          splits[static_cast<size_t>(shard)]);
+    for (size_t shard = 0; shard < shards_.size(); ++shard) {
+      shards_[shard]->Run(splits[shard]);
     }
   }
 
-  // Aggregated over shards; `clean` iff every shard is clean, and
-  // `transcript_hash` folds the per-shard hashes in shard order.
+  // Aggregated over shards (CombineShardReports).
   RunReport report() const {
-    RunReport out;
-    out.transcript_hash = 1469598103934665603ull;  // FNV offset basis
-    out.clean = true;
-    for (const auto& shard : shards_) {
-      const RunReport r = shard->report();
-      for (int b = 0; b < 64; b += 8) {
-        out.transcript_hash ^= (r.transcript_hash >> b) & 0xffull;
-        out.transcript_hash *= 1099511628211ull;  // FNV prime
-      }
-      out.delivered += r.delivered;
-      out.crashes += r.crashes;
-      out.crash_detections += r.crash_detections;
-      out.resyncs_sent += r.resyncs_sent;
-      out.lost_unacked += r.lost_unacked;
-      out.items_lost += r.items_lost;
-      out.duplicates_dropped += r.duplicates_dropped;
-      out.gaps_detected += r.gaps_detected;
-      out.nacks_sent += r.nacks_sent;
-      out.retransmits_sent += r.retransmits_sent;
-      out.stale_epoch_dropped += r.stale_epoch_dropped;
-      out.messages_dropped_down += r.messages_dropped_down;
-      out.faults_forwarded += r.faults_forwarded;
-      out.faults_dropped += r.faults_dropped;
-      out.faults_duplicated += r.faults_duplicated;
-      out.faults_delayed += r.faults_delayed;
-      out.clean = out.clean && r.clean;
-    }
-    return out;
+    std::vector<RunReport> reports;
+    for (const auto& shard : shards_) reports.push_back(shard->report());
+    return CombineShardReports(reports);
   }
 
   // Root merge of the shard coordinators' summaries.
   MergeableSample MergedSample() const {
-    std::vector<MergeableSample> summaries;
-    summaries.reserve(shards_.size());
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      summaries.push_back(
-          sim::CheckedShardSummary(&shards_[shard]->coordinator(), shard));
+    std::vector<const sim::CoordinatorNode*> coordinators;
+    for (const auto& shard : shards_) {
+      coordinators.push_back(&shard->coordinator());
     }
-    return MergeShardSamples(summaries);
+    return sim::MergeShardCoordinators(coordinators);
   }
 
   std::vector<uint64_t> MergedSampleIds() const {
@@ -463,17 +366,30 @@ class ShardedFaultyRun {
     return ids;
   }
 
-  FaultyRun<Traits>& shard(int j) {
-    return *shards_[static_cast<size_t>(j)];
-  }
-  const FaultyRun<Traits>& shard(int j) const {
-    return *shards_[static_cast<size_t>(j)];
-  }
+  Shard& shard(int j) { return *shards_[static_cast<size_t>(j)]; }
+  const Shard& shard(int j) const { return *shards_[static_cast<size_t>(j)]; }
   const ShardTopology& topology() const { return topology_; }
 
  private:
   ShardTopology topology_;
-  std::vector<std::unique_ptr<FaultyRun<Traits>>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+// `shard_faults[j]` is shard j's fault schedule (one entry per shard —
+// faults are per-shard state).
+template <typename Traits>
+class ShardedFaultyRun : public ShardedHarness<FaultyRun<Traits>> {
+ public:
+  ShardedFaultyRun(const typename Traits::Config& config,
+                   const std::vector<FaultConfig>& shard_faults,
+                   Backend backend)
+      : ShardedHarness<FaultyRun<Traits>>(
+            config, static_cast<int>(shard_faults.size()),
+            [&](int shard, const typename Traits::Config& shard_config) {
+              return std::make_unique<FaultyRun<Traits>>(
+                  shard_config, shard_faults[static_cast<size_t>(shard)],
+                  backend, /*trace_shard=*/shard);
+            }) {}
 };
 
 using ShardedFaultyWswor = ShardedFaultyRun<WsworFaultTraits>;

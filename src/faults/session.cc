@@ -10,9 +10,9 @@ namespace dwrs::faults {
 namespace {
 
 // Flight-recorder event carrying a session message's identity. All
-// session events are deterministic per (seeds, workload) on a
-// step-synchronous backend, so they participate in the canonical
-// transcript (obs/trace.h).
+// session events are deterministic per (seeds, workload) when events
+// are delivered one at a time (sim/executor.h), so they participate in
+// the canonical transcript (obs/trace.h).
 obs::TraceEvent SessionEvent(obs::EventType type, int shard, int site,
                              uint8_t dir, const sim::Payload& msg) {
   obs::TraceEvent event;

@@ -17,8 +17,9 @@
 //      per-ring dropped count, never resized, never freed while the
 //      process lives — which is what makes the drain safe without
 //      hazard pointers.
-//   3. The event stream must be deterministic per seed under the
-//      step-synchronous backends: deterministic mode zeroes wall-clock
+//   3. The event stream must be deterministic per seed under per-event
+//      delivery (sim::Executor::Deliver on either backend):
+//      deterministic mode zeroes wall-clock
 //      timestamps at record time, and CanonicalTranscript() reduces a
 //      collected trace to the protocol-level event multiset (sorted on
 //      every payload field, timestamps and thread interleaving
@@ -130,9 +131,9 @@ class FlightRecorder {
 
   // Quiesce-point control surface (see the threading contract above).
   // `ring_capacity` is per thread, in events; `deterministic` zeroes
-  // timestamps so two same-seed step-synchronous runs record identical
-  // events. Enable resets previously collected state and starts a new
-  // ring generation.
+  // timestamps so two same-seed runs delivered one event at a time
+  // record identical events. Enable resets previously collected state
+  // and starts a new ring generation.
   void Enable(size_t ring_capacity = 1 << 14, bool deterministic = false);
   void Disable();
 
@@ -187,11 +188,11 @@ class FlightRecorder {
 };
 
 // Protocol-level event multiset for determinism checks: keeps only the
-// event types whose occurrence is a function of (seeds, workload) on a
-// step-synchronous backend — session and fault-layer events plus
-// threshold bumps — and sorts them on every payload field with ts_ns,
-// step, dur_ns and thread interleaving excluded. Two same-seed runs on
-// the sim and step-synchronous engine backends produce equal canonical
+// event types whose occurrence is a function of (seeds, workload) under
+// per-event delivery — session and fault-layer events plus threshold
+// bumps — and sorts them on every payload field with ts_ns, step, dur_ns
+// and thread interleaving excluded. Two same-seed runs delivered one
+// event at a time on the sim and engine backends produce equal canonical
 // transcripts.
 std::vector<TraceEvent> CanonicalTranscript(std::vector<TraceEvent> events);
 

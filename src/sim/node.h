@@ -1,6 +1,7 @@
 // Protocol endpoint and transport interfaces shared by every execution
 // backend. A protocol is written once against these three interfaces and
-// then runs unmodified on either backend:
+// then runs unmodified on either backend (both implement sim::Executor,
+// sim/executor.h):
 //
 //   sim::Runtime    — single-threaded, step-synchronous simulated network
 //                     (src/sim/network.h); exact, deterministic, counts
@@ -18,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sampling/mergeable_sample.h"
 #include "sim/message.h"
@@ -118,20 +120,26 @@ class CoordinatorNode {
   virtual uint64_t StateVersion() const { return 0; }
 };
 
-// The validated per-shard summary every sharded backend's root merge
-// collects: the coordinator must be attached and must export mergeable
-// state — a kEmpty summary would silently drop the shard's slice from
-// the merged sample, an invisible wrong answer.
-inline MergeableSample CheckedShardSummary(const CoordinatorNode* node,
-                                           size_t shard) {
-  DWRS_CHECK(node != nullptr) << " shard " << shard
-                              << " coordinator not attached";
-  MergeableSample summary = node->ShardSample();
-  DWRS_CHECK(summary.kind != SampleKind::kEmpty)
-      << " shard " << shard
-      << "'s coordinator exports no mergeable summary (protocol not "
-         "shardable?)";
-  return summary;
+// The root merge every sharded backend and harness runs: the shard
+// coordinators' summaries, in shard order, combined into the exact
+// global sample. Each coordinator must be attached and must export
+// mergeable state — a kEmpty summary would silently drop the shard's
+// slice from the merged sample, an invisible wrong answer.
+inline MergeableSample MergeShardCoordinators(
+    const std::vector<const CoordinatorNode*>& coordinators) {
+  std::vector<MergeableSample> summaries;
+  summaries.reserve(coordinators.size());
+  for (size_t shard = 0; shard < coordinators.size(); ++shard) {
+    const CoordinatorNode* node = coordinators[shard];
+    DWRS_CHECK(node != nullptr) << " shard " << shard
+                                << " coordinator not attached";
+    summaries.push_back(node->ShardSample());
+    DWRS_CHECK(summaries.back().kind != SampleKind::kEmpty)
+        << " shard " << shard
+        << "'s coordinator exports no mergeable summary (protocol not "
+           "shardable?)";
+  }
+  return MergeShardSamples(summaries);
 }
 
 }  // namespace dwrs::sim

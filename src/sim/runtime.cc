@@ -61,10 +61,7 @@ void Runtime::Flush() { Pump(/*force=*/true); }
 void Runtime::Run(const Workload& workload,
                   const std::function<void(uint64_t)>& on_step) {
   DWRS_CHECK_EQ(workload.num_sites(), num_sites());
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Deliver(workload.event(i));
-    if (on_step) on_step(i + 1);
-  }
+  DeliverEach(*this, workload, on_step);
 }
 
 }  // namespace dwrs::sim

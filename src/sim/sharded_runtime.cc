@@ -4,8 +4,7 @@ namespace dwrs::sim {
 
 ShardedRuntime::ShardedRuntime(int num_sites, int num_shards,
                                int delivery_delay, uint64_t jitter_seed)
-    : topology_(num_sites, num_shards),
-      coordinators_(static_cast<size_t>(num_shards), nullptr) {
+    : Sharded(num_sites, num_shards) {
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int shard = 0; shard < num_shards; ++shard) {
     // Shard 0 takes the caller's jitter seed raw — it IS the unsharded
@@ -18,44 +17,10 @@ ShardedRuntime::ShardedRuntime(int num_sites, int num_shards,
   }
 }
 
-void ShardedRuntime::AttachSite(int site, SiteNode* node) {
-  const int shard = topology_.ShardOf(site);
-  shards_[Index(shard)]->AttachSite(topology_.LocalOf(site), node);
-}
-
-void ShardedRuntime::AttachShardCoordinator(int shard, CoordinatorNode* node) {
-  DWRS_CHECK(node != nullptr);
-  shards_[Index(shard)]->AttachCoordinator(node);
-  coordinators_[Index(shard)] = node;
-}
-
-void ShardedRuntime::Deliver(const WorkloadEvent& event) {
-  const int shard = topology_.ShardOf(event.site);
-  ++steps_;
-  shards_[Index(shard)]->Deliver(
-      WorkloadEvent{topology_.LocalOf(event.site), event.item});
-}
-
-void ShardedRuntime::Flush() {
-  for (auto& shard : shards_) shard->Flush();
-}
-
 void ShardedRuntime::Run(const Workload& workload,
                          const std::function<void(uint64_t)>& on_step) {
   DWRS_CHECK_EQ(workload.num_sites(), topology_.num_sites());
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Deliver(workload.event(i));
-    if (on_step) on_step(i + 1);
-  }
-}
-
-MergeableSample ShardedRuntime::MergedSample() const {
-  std::vector<MergeableSample> summaries;
-  summaries.reserve(coordinators_.size());
-  for (size_t shard = 0; shard < coordinators_.size(); ++shard) {
-    summaries.push_back(CheckedShardSummary(coordinators_[shard], shard));
-  }
-  return MergeShardSamples(summaries);
+  DeliverEach(*this, workload, on_step);
 }
 
 MessageStats ShardedRuntime::AggregateStats() const {

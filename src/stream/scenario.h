@@ -11,12 +11,13 @@
 //   const ScenarioSpec* sc = FindScenario("zipf_sweep");
 //   Workload w = BuildScenarioWorkload(*sc, /*seed=*/7, /*quick=*/true);
 //   auto batches = BuildScenarioBatches(*sc, w.size(), /*seed=*/7);
-//   engine.RunPaced(w, batches);          // rate-modulated feeding
+//   engine.RunPaced(w, batches);          // rate-modulated, pipelined
+//   sim::DeliverEach(engine, w);          // step-synchronous replay
 //
 // Determinism: (scenario, seed, quick) fully determines the workload,
 // the batch schedule, and — for churn scenarios — the fault schedule, so
-// any matrix cell replays bit for bit on the simulator and on the
-// step-synchronous engine.
+// any matrix cell replays bit for bit on the simulator and on the engine
+// fed one Deliver per event (sim/executor.h).
 
 #ifndef DWRS_STREAM_SCENARIO_H_
 #define DWRS_STREAM_SCENARIO_H_

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -588,6 +589,37 @@ TEST(DurableShardTest, KillsUnderMessageFaultsAgreeAcrossBackends) {
     EXPECT_TRUE(reports[0].recovery_consistent) << "seed " << fault_seed;
     EXPECT_TRUE(reports[1].recovery_consistent) << "seed " << fault_seed;
   }
+}
+
+// The checkpoint a killed-and-recovered run leaves on disk is the same
+// bytes on both backends — traffic counters included, since both run
+// the same delivery transcript.
+TEST(DurableShardTest, CheckpointBytesAgreeAcrossBackends) {
+  const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 21};
+  const Workload w = DurabilityWorkload(3, 200, /*seed=*/5);
+  FaultConfig faults;
+  faults.seed = 77;
+  faults.duplicate_prob = 0.05;
+  faults.delay_prob = 0.05;
+  faults.max_delay = 2;
+  faults.process_kill_prob = 0.02;
+  faults.max_process_kills = 2;
+  std::vector<std::vector<uint8_t>> bytes;
+  for (Backend backend : {Backend::kSim, Backend::kEngine}) {
+    const std::string dir =
+        TempDir(backend == Backend::kSim ? "ckpt_sim" : "ckpt_eng");
+    {
+      DurableWswor durable(config, faults, backend, Opts(dir));
+      durable.Run(w);
+      EXPECT_GT(durable.process_kills(), 0u);
+    }
+    const std::optional<ShardCheckpoint> checkpoint = LoadLatestCheckpoint(dir);
+    ASSERT_TRUE(checkpoint.has_value());
+    EXPECT_GT(checkpoint->snapshot.messages.total_messages(), 0u);
+    bytes.push_back(EncodeCheckpoint(*checkpoint));
+    RemoveAll(dir);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 // ---------------------------------------------------------------------

@@ -203,9 +203,8 @@ TEST(EngineEquivalenceTest, StepSyncWsworMatchesSimExactly) {
   DistributedWswor sim_sampler(config);
   sim_sampler.Run(w);
 
-  EngineWswor es(config,
-                 EngineConfig{.num_sites = 4, .step_synchronous = true});
-  es.eng.Run(w);
+  EngineWswor es(config, EngineConfig{.num_sites = 4});
+  sim::DeliverEach(es.eng, w);
 
   ExpectSameSample(sim_sampler.Sample(), es.coordinator->Sample());
   ExpectSameStats(sim_sampler.stats(), es.eng.stats().MessageSnapshot());
@@ -228,9 +227,8 @@ TEST(EngineEquivalenceTest, SingleSiteDeterminism) {
   DistributedWswor sim_sampler(config);
   sim_sampler.Run(w);
 
-  EngineWswor es(config,
-                 EngineConfig{.num_sites = 1, .step_synchronous = true});
-  es.eng.Run(w);
+  EngineWswor es(config, EngineConfig{.num_sites = 1});
+  sim::DeliverEach(es.eng, w);
   es.eng.Flush();
 
   ExpectSameSample(sim_sampler.Sample(), es.coordinator->Sample());
@@ -244,7 +242,7 @@ TEST(EngineEquivalenceTest, StepSyncNaiveMatchesSim) {
   NaiveDistributedWswor sim_sampler(k, s, /*seed=*/77);
   sim_sampler.Run(w);
 
-  Engine eng(EngineConfig{.num_sites = k, .step_synchronous = true});
+  Engine eng(EngineConfig{.num_sites = k});
   Rng master(77);
   std::vector<std::unique_ptr<NaiveWsworSite>> sites;
   for (int i = 0; i < k; ++i) {
@@ -254,7 +252,7 @@ TEST(EngineEquivalenceTest, StepSyncNaiveMatchesSim) {
   }
   NaiveWsworCoordinator coordinator(s);
   eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  sim::DeliverEach(eng, w);
 
   ExpectSameSample(sim_sampler.Sample(), coordinator.Sample());
   ExpectSameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -273,7 +271,7 @@ TEST(EngineEquivalenceTest, StepSyncUnweightedSubstrateMatchesSim) {
   DistributedUnweightedSwor sim_sampler(config);
   sim_sampler.Run(w);
 
-  Engine eng(EngineConfig{.num_sites = 3, .step_synchronous = true});
+  Engine eng(EngineConfig{.num_sites = 3});
   Rng master(config.seed);
   std::vector<std::unique_ptr<UsworSite>> sites;
   for (int i = 0; i < 3; ++i) {
@@ -283,7 +281,7 @@ TEST(EngineEquivalenceTest, StepSyncUnweightedSubstrateMatchesSim) {
   }
   UsworCoordinator coordinator(config, &eng.transport());
   eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  sim::DeliverEach(eng, w);
 
   const std::vector<Item> a = sim_sampler.Sample();
   const std::vector<Item> b = coordinator.Sample();

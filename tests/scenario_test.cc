@@ -1,10 +1,11 @@
 // Tests for the scenario layer (stream/scenario.h) and its temporal
 // dynamics (stream/dynamics.h): registry shape, seed-determinism of
 // every generator / arrival process / churn schedule, sim <-> engine
-// bit-identity of every scenario through the paced feeder, chi-square
-// exactness of merged samples under hot-key drift and site churn at
-// S in {1, 4}, and a 25-seed churn-with-loss sweep asserting degraded
-// runs are always flagged, never silently wrong.
+// bit-identity of every scenario replayed one Deliver per event, the
+// paced feeder's round contract, chi-square exactness of merged samples
+// under hot-key drift and site churn at S in {1, 4}, and a 25-seed
+// churn-with-loss sweep asserting degraded runs are always flagged,
+// never silently wrong.
 
 #include <algorithm>
 #include <cmath>
@@ -359,7 +360,7 @@ TEST(SkewedSitePartitionerDeathTest, RejectsVaryingSiteCount) {
 }
 
 // ---------------------------------------------------------------------
-// Sim <-> engine bit-identity: every scenario, through the paced feeder.
+// Sim <-> engine bit-identity: every scenario, one Deliver per event.
 
 bool SameKeyedSample(const std::vector<KeyedItem>& a,
                      const std::vector<KeyedItem>& b) {
@@ -374,7 +375,6 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
   for (const ScenarioSpec& s : ScenarioRegistry()) {
     const uint64_t seed = 1234;
     const Workload w = BuildScenarioWorkload(s, seed, /*quick=*/true);
-    const auto batches = BuildScenarioBatches(s, w.size(), seed);
 
     WsworConfig config;
     config.num_sites = s.num_sites;
@@ -383,10 +383,7 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
     DistributedWswor sim_sampler(config);
     sim_sampler.Run(w);
 
-    engine::EngineConfig engine_config;
-    engine_config.num_sites = s.num_sites;
-    engine_config.step_synchronous = true;
-    engine::Engine eng(engine_config);
+    engine::Engine eng(engine::EngineConfig{.num_sites = s.num_sites});
     // The facade's exact seed derivation: one master draw per site in
     // index order, then the coordinator's.
     Rng master(config.seed);
@@ -398,7 +395,7 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
     }
     WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
     eng.AttachCoordinator(&coordinator);
-    eng.RunPaced(w, batches);
+    sim::DeliverEach(eng, w);
 
     EXPECT_TRUE(SameKeyedSample(sim_sampler.Sample(), coordinator.Sample()))
         << s.name;
@@ -411,9 +408,29 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
   }
 }
 
-TEST(ScenarioEngineTest, PacedRunMatchesPlainRunStepSynchronously) {
-  // With step_synchronous the arrival pacing must change nothing
-  // observable: RunPaced under the bursty schedule equals plain Run.
+// Counts the items a wrapped site ingests; the wrapper forwards every
+// callback, so the protocol runs unchanged.
+class CountingSite : public sim::SiteNode {
+ public:
+  explicit CountingSite(sim::SiteNode* inner) : inner_(inner) {}
+  void OnItem(const Item& item) override { OnItems(&item, 1); }
+  void OnItems(const Item* items, size_t n) override {
+    ingested_ += n;
+    inner_->OnItems(items, n);
+  }
+  void OnMessage(const sim::Payload& msg) override { inner_->OnMessage(msg); }
+  uint64_t ingested() const { return ingested_; }
+
+ private:
+  sim::SiteNode* inner_;
+  uint64_t ingested_ = 0;
+};
+
+TEST(ScenarioEngineTest, PacedRunQuiescesAtEveryRoundBoundary) {
+  // RunPaced pipelines within a round and quiesces at each boundary:
+  // on_round sees every cumulative prefix of the bursty schedule, with
+  // exactly that many items ingested, and the run ends with every
+  // pushed item ingested into a full-size sample.
   const ScenarioSpec* s = FindScenario("bursty_hotsite");
   ASSERT_NE(s, nullptr);
   const Workload w = BuildScenarioWorkload(*s, 77, /*quick=*/true);
@@ -424,30 +441,36 @@ TEST(ScenarioEngineTest, PacedRunMatchesPlainRunStepSynchronously) {
   config.sample_size = 8;
   config.seed = 77;
 
-  auto run = [&](bool paced) {
-    engine::EngineConfig engine_config;
-    engine_config.num_sites = s->num_sites;
-    engine_config.step_synchronous = true;
-    engine::Engine eng(engine_config);
-    Rng master(config.seed);
-    std::vector<std::unique_ptr<WsworSite>> sites;
-    for (int i = 0; i < config.num_sites; ++i) {
-      sites.push_back(std::make_unique<WsworSite>(
-          config, i, &eng.transport(), master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
-    eng.AttachCoordinator(&coordinator);
-    if (paced) {
-      eng.RunPaced(w, batches);
-    } else {
-      eng.Run(w);
-    }
-    auto sample = coordinator.Sample();
-    eng.Shutdown();
-    return sample;
+  std::vector<std::unique_ptr<WsworSite>> sites;
+  std::vector<std::unique_ptr<CountingSite>> counters;
+  engine::Engine eng(engine::EngineConfig{.num_sites = s->num_sites});
+  Rng master(config.seed);
+  for (int i = 0; i < config.num_sites; ++i) {
+    sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
+                                                master.NextU64()));
+    counters.push_back(std::make_unique<CountingSite>(sites.back().get()));
+    eng.AttachSite(i, counters.back().get());
+  }
+  WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
+  eng.AttachCoordinator(&coordinator);
+  auto ingested = [&counters] {
+    uint64_t total = 0;
+    for (const auto& c : counters) total += c->ingested();
+    return total;
   };
-  EXPECT_TRUE(SameKeyedSample(run(/*paced=*/true), run(/*paced=*/false)));
+
+  std::vector<uint64_t> seen, expected;
+  uint64_t prefix = 0;
+  for (uint32_t b : batches) expected.push_back(prefix += b);
+  eng.RunPaced(w, batches, [&](uint64_t pos) {
+    seen.push_back(pos);
+    EXPECT_EQ(ingested(), pos);
+  });
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(ingested(), w.size());
+  EXPECT_EQ(coordinator.Sample().size(),
+            std::min<size_t>(config.sample_size, w.size()));
+  eng.Shutdown();
 }
 
 TEST(ScenarioEngineTest, ChurnScenarioTranscriptIdenticalAcrossBackends) {

@@ -136,7 +136,7 @@ void ExpectStepSyncMatchesSim(int k, uint64_t n, const EngineConfig& config) {
   sim_sampler.Run(w);
 
   EngineWswor es(wswor, config);
-  es.eng.Run(w);
+  sim::DeliverEach(es.eng, w);
 
   const std::vector<KeyedItem> a = sim_sampler.Sample();
   const std::vector<KeyedItem> b = es.coordinator->Sample();
@@ -155,7 +155,7 @@ void ExpectStepSyncMatchesSim(int k, uint64_t n, const EngineConfig& config) {
 TEST(SchedulerEquivalenceTest, StepSyncMatchesSimAtSmallK) {
   ExpectStepSyncMatchesSim(
       /*k=*/16, /*n=*/2000,
-      EngineConfig{.num_sites = 16, .step_synchronous = true});
+      EngineConfig{.num_sites = 16});
 }
 
 TEST(SchedulerEquivalenceTest, StepSyncMatchesSimAtKPastPoolSize) {
@@ -164,16 +164,14 @@ TEST(SchedulerEquivalenceTest, StepSyncMatchesSimAtKPastPoolSize) {
   // must still be bit-identical.
   ExpectStepSyncMatchesSim(
       /*k=*/1000, /*n=*/3000,
-      EngineConfig{.num_sites = 1000, .step_synchronous = true});
+      EngineConfig{.num_sites = 1000});
 }
 
 TEST(SchedulerEquivalenceTest, StepSyncMatchesSimWithTinyForcedPool) {
   // Two workers for 16 sites, stealing on: maximal consumer-role
   // migration between dispatches.
   ExpectStepSyncMatchesSim(/*k=*/16, /*n=*/2000,
-                           EngineConfig{.num_sites = 16,
-                                        .num_workers = 2,
-                                        .step_synchronous = true});
+                           EngineConfig{.num_sites = 16, .num_workers = 2});
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests of the sharded multi-coordinator topology: the ShardTopology
 // partition, the MergeableSample merge algebra, the exactness of the
 // root merge (bit-identical at S = 1, chi-square-exact at S ∈ {1, 2, 4}),
-// cross-backend replay (sim::ShardedRuntime vs engine::ShardedEngine in
-// step-synchronous mode), per-shard fault isolation, and the
+// cross-backend replay (sim::ShardedRuntime vs engine::ShardedEngine,
+// one Deliver per event), per-shard fault isolation, and the
 // summation-composed sharded L1 estimate.
 
 #include <algorithm>
@@ -395,7 +395,7 @@ TEST(ShardedDistributionTest, SwrSlotMergeRaceWinnerIsWeightedDraw) {
 }
 
 // ---------------------------------------------------------------------
-// Cross-backend replay: engine::ShardedEngine in step-synchronous mode
+// Cross-backend replay: engine::ShardedEngine replayed one Deliver per event
 // is bit-identical to sim::ShardedRuntime — merged sample and per-shard
 // traffic alike.
 
@@ -410,10 +410,9 @@ TEST(ShardedEquivalenceTest, EngineStepSyncMatchesShardedRuntime) {
   ShardedEngineConfig engine_config;
   engine_config.num_sites = 4;
   engine_config.num_shards = shards;
-  engine_config.shard.step_synchronous = true;
   ShardedEngine eng(engine_config);
   const ShardedWsworEndpoints endpoints = AttachShardedWswor(config, eng);
-  eng.Run(w);
+  sim::DeliverEach(eng, w);
 
   const std::vector<KeyedItem> a = sim_sampler.Sample();
   const std::vector<KeyedItem> b = eng.MergedSample().TopEntries();

@@ -171,11 +171,15 @@ TEST(NetworkTest, JitterPreservesPerChannelFifo) {
   while (net.PopDue(&d)) {
     ++delivered;
     if (d.msg.a < 1000) {
-      if (!first0) EXPECT_GT(d.msg.a, last0);
+      if (!first0) {
+        EXPECT_GT(d.msg.a, last0);
+      }
       last0 = d.msg.a;
       first0 = false;
     } else {
-      if (!first1) EXPECT_GT(d.msg.a, last1);
+      if (!first1) {
+        EXPECT_GT(d.msg.a, last1);
+      }
       last1 = d.msg.a;
       first1 = false;
     }
