@@ -508,7 +508,8 @@ int Main(bool quick, int shards_filter) {
   // stack (the faults harness with a zero-fault schedule), same
   // workload. Sweeps the group-commit interval; the fsync row pays a
   // real fdatasync per commit (power-loss durability — kill -9 survival
-  // only needs the kernel write, which is what the other rows measure).
+  // only needs the commit's copy into the page cache, which is what the
+  // other rows measure).
   int durable_gate_failures = 0;
   {
     const int k = 8;

@@ -30,12 +30,6 @@ void PutU32Le(std::vector<uint8_t>* out, uint32_t x) {
   }
 }
 
-void PutMsg(std::vector<uint8_t>* out, const sim::Payload& msg) {
-  const std::vector<uint8_t> wire = sim::EncodePayload(msg);
-  sim::PutVarint(out, wire.size());
-  out->insert(out->end(), wire.begin(), wire.end());
-}
-
 void PutSample(std::vector<uint8_t>* out, const MergeableSample& sample) {
   out->push_back(static_cast<uint8_t>(sample.kind));
   sim::PutVarint(out, sample.target_size);
@@ -369,7 +363,7 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
     sim::PutVarint(&body, s.epoch);
     sim::PutVarint(&body, s.next_seq);
     sim::PutVarint(&body, s.unacked.size());
-    for (const sim::Payload& msg : s.unacked) PutMsg(&body, msg);
+    for (const sim::Payload& msg : s.unacked) sim::PutSizedPayload(&body, msg);
     body.push_back(s.retransmit_pending ? 1 : 0);
     sim::PutVarint(&body, s.retransmit_from);
     sim::PutVarint(&body, s.items_seen);
@@ -407,7 +401,7 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
     sim::PutVarint(&body, ch.held.size());
     for (const auto& [release_at, msg] : ch.held) {
       sim::PutVarint(&body, release_at);
-      PutMsg(&body, msg);
+      sim::PutSizedPayload(&body, msg);
     }
   }
   sim::PutVarint(&body, t.forwarded);

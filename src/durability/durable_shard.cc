@@ -71,7 +71,7 @@ void DurableCoordinator::EmitDecision(const WalRecord& record) {
   if (capture_ != nullptr) {
     capture_->push_back(record);
   } else if (wal_ != nullptr) {
-    wal_->Append(EncodeWalRecord(record));
+    wal_->Append(record);
     ++records_logged_;
   }
 }
@@ -84,7 +84,7 @@ void DurableCoordinator::OnMessage(int site, const sim::Payload& msg) {
     record.type = WalRecordType::kMessage;
     record.site = site;
     record.msg = msg;
-    wal_->Append(EncodeWalRecord(record));
+    wal_->Append(record);
     ++records_logged_;
   }
   pending_deltas_.clear();
@@ -220,7 +220,7 @@ void DurableWswor::OpenSegment(uint64_t seq, bool truncate) {
 }
 
 void DurableWswor::AppendHarnessRecord(const WalRecord& record) {
-  wal_->Append(EncodeWalRecord(record));
+  wal_->Append(record);
   ++wal_records_logged_;
 }
 
@@ -313,6 +313,7 @@ bool DurableWswor::Recover() {
   last_recovery_ = RecoveryReport{};
   catching_up_ = false;
   catch_up_until_ = 0;
+  records_at_mark_ = 0;  // the rebuilt coordinator counts from zero
   const std::optional<ShardCheckpoint> loaded =
       LoadLatestCheckpoint(options_.dir);
   BuildStack();
@@ -510,16 +511,25 @@ void DurableWswor::Run(const Workload& workload,
     } else {
       // Quiesce point: the step's message exchange is complete on both
       // backends, so the mark is ordered after every record it covers.
-      WalRecord mark;
-      mark.type = WalRecordType::kStepMark;
-      mark.step = step;
-      AppendHarnessRecord(mark);
-      if (step % options_.commit_interval_steps == 0) {
+      // Recovery reads marks for the durable step (the last committed
+      // mark: every commit ends in one) and to attribute replayed
+      // broadcasts to their step (every step with records has its mark),
+      // so a step that logged nothing and neither commits nor
+      // checkpoints needs none.
+      const bool commit = step % options_.commit_interval_steps == 0;
+      const bool checkpoint = step % options_.checkpoint_interval_steps == 0;
+      const uint64_t logged = durable_coordinator_->records_logged();
+      if (commit || checkpoint || logged != records_at_mark_) {
+        WalRecord mark;
+        mark.type = WalRecordType::kStepMark;
+        mark.step = step;
+        AppendHarnessRecord(mark);
+        records_at_mark_ = logged;
+      }
+      if (commit) {
         DWRS_CHECK(wal_->Commit()) << " wal commit failed: " << wal_->error();
       }
-      if (step % options_.checkpoint_interval_steps == 0) {
-        WriteCheckpoint(step);
-      }
+      if (checkpoint) WriteCheckpoint(step);
     }
     if (on_step) on_step(step);
     if (schedule_.ProcessKillsAt(step) &&

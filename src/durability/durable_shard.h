@@ -187,12 +187,13 @@ struct DurabilityOptions {
   // Checkpoint cadence, in steps. Checkpoints also rotate the WAL.
   uint64_t checkpoint_interval_steps = 64;
   // fdatasync on every commit (power-loss durability; kill -9 survival
-  // only needs the kernel write).
+  // only needs the copy into the page cache).
   bool fsync_commits = false;
   // Background group-commit flush worker (WalWriterOptions) in addition
-  // to the step-boundary commits. Throughput mode for the CLI/bench; the
-  // deterministic kill/recover tests keep it off so the durable step is
-  // a pure function of the seed.
+  // to the step-boundary commits. The deterministic kill/recover tests
+  // keep it off so the durable step is a pure function of the seed;
+  // under kill-only schedules the recovered run is the same either way
+  // (tests/durability_test.cc).
   bool background_flush = false;
   uint64_t flush_interval_us = 2000;
   size_t flush_bytes = 256 * 1024;
@@ -303,6 +304,8 @@ class DurableWswor {
   uint64_t checkpoint_seq_ = 0;     // last written checkpoint
   uint64_t feed_step_ = 0;          // B: events already fed durably
   uint64_t wal_records_logged_ = 0;
+  // The coordinator's records_logged() at the last step mark.
+  uint64_t records_at_mark_ = 0;
   uint64_t wal_records_replayed_ = 0;
   uint64_t checkpoints_written_ = 0;
   uint64_t kills_done_ = 0;

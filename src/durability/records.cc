@@ -50,35 +50,36 @@ std::optional<int64_t> GetZigzag(const std::vector<uint8_t>& in, size_t* pos) {
   return static_cast<int64_t>((*u >> 1) ^ (~(*u & 1) + 1));
 }
 
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
-  std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(record.type));
+void AppendWalRecord(std::vector<uint8_t>* out, const WalRecord& record) {
+  out->push_back(static_cast<uint8_t>(record.type));
   switch (record.type) {
-    case WalRecordType::kMessage: {
-      sim::PutVarint(&out, static_cast<uint64_t>(record.site));
-      const std::vector<uint8_t> wire = sim::EncodePayload(record.msg);
-      sim::PutVarint(&out, wire.size());
-      out.insert(out.end(), wire.begin(), wire.end());
+    case WalRecordType::kMessage:
+      sim::PutVarint(out, static_cast<uint64_t>(record.site));
+      sim::PutSizedPayload(out, record.msg);
       break;
-    }
     case WalRecordType::kThresholdBump:
-      PutF64(&out, record.threshold);
+      PutF64(out, record.threshold);
       break;
     case WalRecordType::kEpochChange:
-      PutZigzag(&out, record.epoch);
+      PutZigzag(out, record.epoch);
       break;
     case WalRecordType::kSampleDelta:
-      sim::PutVarint(&out, record.added.item.id);
-      PutF64(&out, record.added.item.weight);
-      PutF64(&out, record.added.key);
-      out.push_back(record.evicted_valid ? 1 : 0);
-      if (record.evicted_valid) sim::PutVarint(&out, record.evicted_id);
+      sim::PutVarint(out, record.added.item.id);
+      PutF64(out, record.added.item.weight);
+      PutF64(out, record.added.key);
+      out->push_back(record.evicted_valid ? 1 : 0);
+      if (record.evicted_valid) sim::PutVarint(out, record.evicted_id);
       break;
     case WalRecordType::kStepMark:
     case WalRecordType::kCheckpointMark:
-      sim::PutVarint(&out, record.step);
+      sim::PutVarint(out, record.step);
       break;
   }
+}
+
+std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
+  std::vector<uint8_t> out;
+  AppendWalRecord(&out, record);
   return out;
 }
 

@@ -10,7 +10,13 @@
 //                     around sim::codec's wire encoding.
 //     kStepMark       a stream step quiesced; recovery replays through
 //                     the LAST committed mark (the durable step) and
-//                     discards the partial step behind it.
+//                     discards the partial step behind it. Written only
+//                     where recovery reads one: after every step that
+//                     logged a record (replayed broadcasts are
+//                     attributed to their step by it) and at every
+//                     commit and checkpoint step (so each commit ends in
+//                     a mark). Steps that logged nothing in between
+//                     carry no mark.
 //     kCheckpointMark a checkpoint of the given sequence was captured
 //                     here (audit of the rotation lifecycle).
 //
@@ -76,6 +82,9 @@ struct WalRecord {
 };
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
+// EncodeWalRecord appended to *out in place (WalWriter frames records
+// this way, with no temporary vector).
+void AppendWalRecord(std::vector<uint8_t>* out, const WalRecord& record);
 
 // nullopt on any malformed input (unknown type, truncation, trailing
 // bytes, inner payload decode failure).

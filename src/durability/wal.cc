@@ -1,14 +1,16 @@
 #include "durability/wal.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -29,11 +31,11 @@ std::array<uint32_t, 256> MakeCrcTable() {
   return table;
 }
 
-void PutU32Le(std::vector<uint8_t>* out, uint32_t x) {
-  out->push_back(static_cast<uint8_t>(x));
-  out->push_back(static_cast<uint8_t>(x >> 8));
-  out->push_back(static_cast<uint8_t>(x >> 16));
-  out->push_back(static_cast<uint8_t>(x >> 24));
+void PutU32Le(uint8_t* p, uint32_t x) {
+  p[0] = static_cast<uint8_t>(x);
+  p[1] = static_cast<uint8_t>(x >> 8);
+  p[2] = static_cast<uint8_t>(x >> 16);
+  p[3] = static_cast<uint8_t>(x >> 24);
 }
 
 uint32_t GetU32Le(const uint8_t* p) {
@@ -44,6 +46,10 @@ uint32_t GetU32Le(const uint8_t* p) {
 // A single frame may not dwarf the file: a corrupted length field would
 // otherwise make the reader attempt a multi-gigabyte allocation.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
+
+// Segment growth steps (multiples of any page size).
+constexpr size_t kMinGrowth = size_t{64} << 10;
+constexpr size_t kMaxGrowth = size_t{4} << 20;
 
 }  // namespace
 
@@ -59,22 +65,38 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed) {
 WalWriter::WalWriter(const std::string& path, const WalWriterOptions& options,
                      bool truncate)
     : path_(path), options_(options) {
-  const int flags =
-      truncate ? (O_CREAT | O_WRONLY | O_TRUNC) : (O_CREAT | O_WRONLY);
-  fd_ = ::open(path.c_str(), flags, 0644);
+  std::lock_guard<std::mutex> commit(commit_mutex_);
+  fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | (truncate ? O_TRUNC : 0),
+               0644);
   if (fd_ < 0) {
     error_ = "open failed: " + std::string(std::strerror(errno));
     return;
   }
-  if (truncate) {
-    std::vector<uint8_t> header(kWalMagic, kWalMagic + 4);
-    header.push_back(kWalFormatVersion);
-    if (!WriteAll(header.data(), header.size())) return;
-  } else {
-    if (::lseek(fd_, 0, SEEK_END) < 0) {
-      error_ = "lseek failed: " + std::string(std::strerror(errno));
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    error_ = "fstat failed: " + std::string(std::strerror(errno));
+    return;
+  }
+  if (st.st_size > 0) {
+    // Append-reopen: continue at the end of the valid prefix. Dropping
+    // the rest (a torn frame, or a killed writer's zeroed space) keeps
+    // the new frames from ever sitting behind bytes a reader stops at.
+    const WalReadResult existing = ReadWalFile(path);
+    if (!existing.ok) {
+      error_ = "cannot append: " + existing.error;
       return;
     }
+    if (::ftruncate(fd_, static_cast<off_t>(existing.valid_bytes)) != 0) {
+      error_ = "ftruncate failed: " + std::string(std::strerror(errno));
+      return;
+    }
+    committed_ = existing.valid_bytes;
+    if (!Reserve(committed_)) return;
+  } else {
+    if (!Reserve(kWalHeaderSize)) return;
+    std::memcpy(map_, kWalMagic, 4);
+    map_[4] = kWalFormatVersion;
+    committed_ = kWalHeaderSize;
   }
   if (options_.group_commit) {
     flush_worker_ = std::thread([this] { FlushWorkerMain(); });
@@ -83,17 +105,21 @@ WalWriter::WalWriter(const std::string& path, const WalWriterOptions& options,
 
 WalWriter::~WalWriter() { Close(); }
 
-size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
-  DWRS_CHECK_LE(payload.size(), static_cast<size_t>(kMaxFrameBytes));
-  const uint32_t crc = Crc32(payload.data(), payload.size());
+template <typename Encode>
+size_t WalWriter::AppendFrame(const Encode& encode) {
   bool wake = false;
   size_t framed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    PutU32Le(&pending_, static_cast<uint32_t>(payload.size()));
-    PutU32Le(&pending_, crc);
-    pending_.insert(pending_.end(), payload.begin(), payload.end());
-    framed = payload.size() + kWalFrameOverhead;
+    const size_t at = pending_.size();
+    pending_.resize(at + kWalFrameOverhead);
+    encode(&pending_);
+    const size_t len = pending_.size() - at - kWalFrameOverhead;
+    DWRS_CHECK_LE(len, static_cast<size_t>(kMaxFrameBytes));
+    uint8_t* frame = pending_.data() + at;
+    PutU32Le(frame, static_cast<uint32_t>(len));
+    PutU32Le(frame + 4, Crc32(frame + kWalFrameOverhead, len));
+    framed = len + kWalFrameOverhead;
     ++stats_.appends;
     stats_.bytes_appended += framed;
     wake = options_.group_commit && pending_.size() >= options_.flush_bytes;
@@ -108,52 +134,81 @@ size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
   return framed;
 }
 
-bool WalWriter::WriteAll(const uint8_t* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd_, data + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      error_ = "write failed: " + std::string(std::strerror(errno));
-      return false;
-    }
-    off += static_cast<size_t>(w);
+size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
+  return AppendFrame([&payload](std::vector<uint8_t>* out) {
+    out->insert(out->end(), payload.begin(), payload.end());
+  });
+}
+
+size_t WalWriter::Append(const WalRecord& record) {
+  return AppendFrame(
+      [&record](std::vector<uint8_t>* out) { AppendWalRecord(out, record); });
+}
+
+bool WalWriter::Reserve(size_t bytes) {
+  if (bytes <= map_bytes_) return true;
+  // Grow by the current size (doubling), within [kMinGrowth, kMaxGrowth].
+  const size_t step = std::clamp(map_bytes_, kMinGrowth, kMaxGrowth);
+  size_t target = std::max(bytes, map_bytes_ + step);
+  target = (target + kMinGrowth - 1) / kMinGrowth * kMinGrowth;
+  const int rc = ::posix_fallocate(fd_, static_cast<off_t>(map_bytes_),
+                                   static_cast<off_t>(target - map_bytes_));
+  if (rc != 0) {
+    error_ = "posix_fallocate failed: " + std::string(std::strerror(rc));
+    return false;
   }
+  Unmap();
+  void* map =
+      ::mmap(nullptr, target, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
+  if (map == MAP_FAILED) {
+    error_ = "mmap failed: " + std::string(std::strerror(errno));
+    return false;
+  }
+  map_ = static_cast<uint8_t*>(map);
+  map_bytes_ = target;
   return true;
 }
 
-bool WalWriter::CommitLocked(std::unique_lock<std::mutex>& lock) {
-  if (pending_.empty()) return error_.empty();
-  // Swap the buffer out so appenders keep enqueueing while the kernel
-  // write (and fsync) proceeds unlocked — the group-commit point.
-  std::vector<uint8_t> batch;
-  batch.swap(pending_);
-  lock.unlock();
-  const bool write_ok = WriteAll(batch.data(), batch.size());
-  bool fsync_ok = true;
-  if (write_ok && options_.fsync_commits) {
-    fsync_ok = ::fdatasync(fd_) == 0;
-    if (!fsync_ok) {
-      error_ = "fdatasync failed: " + std::string(std::strerror(errno));
-    }
+void WalWriter::Unmap() {
+  if (map_ != nullptr) ::munmap(map_, map_bytes_);
+  map_ = nullptr;
+  map_bytes_ = 0;
+}
+
+bool WalWriter::Commit() {
+  std::lock_guard<std::mutex> commit(commit_mutex_);
+  if (fd_ < 0 || !error_.empty()) return false;
+  {
+    // Take the pending frames; appenders continue into the spare buffer
+    // while the copy (and fsync) proceeds.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pending_.empty()) return true;
+    pending_.swap(batch_);
+  }
+  bool ok = Reserve(committed_ + batch_.size());
+  if (ok) {
+    std::memcpy(map_ + committed_, batch_.data(), batch_.size());
+    committed_ += batch_.size();
+  }
+  const bool synced = ok && options_.fsync_commits;
+  if (synced && ::fdatasync(fd_) != 0) {
+    error_ = "fdatasync failed: " + std::string(std::strerror(errno));
+    ok = false;
   }
   if (obs::TracingEnabled()) {
     obs::TraceEvent event;
     event.type = obs::EventType::kWalFsync;
-    event.a = batch.size();
+    event.a = batch_.size();
     obs::Emit(event);
   }
-  lock.lock();
-  ++stats_.commits;
-  if (write_ok && options_.fsync_commits && fsync_ok) ++stats_.fsyncs;
-  if (write_ok) stats_.bytes_committed += batch.size();
-  return write_ok && fsync_ok;
-}
-
-bool WalWriter::Commit() {
-  if (fd_ < 0) return false;
-  std::unique_lock<std::mutex> lock(mutex_);
-  return CommitLocked(lock);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.commits;
+    if (synced && ok) ++stats_.fsyncs;
+    if (ok) stats_.bytes_committed += batch_.size();
+  }
+  batch_.clear();
+  return ok;
 }
 
 void WalWriter::AbandonPending() {
@@ -171,10 +226,13 @@ bool WalWriter::Close() {
     flush_worker_.join();
   }
   if (fd_ < 0) return error_.empty();
-  bool ok = true;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ok = CommitLocked(lock);
+  bool ok = Commit();
+  std::lock_guard<std::mutex> commit(commit_mutex_);
+  Unmap();
+  // Give back the preallocated space past the last commit.
+  if (ok && ::ftruncate(fd_, static_cast<off_t>(committed_)) != 0) {
+    error_ = "ftruncate failed: " + std::string(std::strerror(errno));
+    ok = false;
   }
   if (ok) {
     if (::fdatasync(fd_) != 0) {
@@ -208,7 +266,9 @@ void WalWriter::FlushWorkerMain() {
           return stop_worker_ || pending_.size() >= options_.flush_bytes;
         });
     if (stop_worker_) break;
-    CommitLocked(lock);
+    lock.unlock();
+    Commit();
+    lock.lock();
   }
 }
 
@@ -237,8 +297,15 @@ WalReadResult ReadWalFile(const std::string& path) {
     return out;
   }
   out.ok = true;
+  // Zero bytes also parse as CRC-valid empty frames, so the valid prefix
+  // ends where the all-zero remainder (space a killed writer
+  // preallocated but never reached) begins.
+  size_t nonzero_end = bytes.size();
+  while (nonzero_end > kWalHeaderSize && bytes[nonzero_end - 1] == 0) {
+    --nonzero_end;
+  }
   size_t pos = kWalHeaderSize;
-  while (pos + kWalFrameOverhead <= bytes.size()) {
+  while (pos < nonzero_end && pos + kWalFrameOverhead <= bytes.size()) {
     const uint32_t len = GetU32Le(bytes.data() + pos);
     const uint32_t crc = GetU32Le(bytes.data() + pos + 4);
     if (len > kMaxFrameBytes ||

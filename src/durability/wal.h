@@ -1,7 +1,7 @@
 // Write-ahead log: CRC32-framed, length-prefixed records in an
 // append-only file, with group commit so the ingest hot path only
 // enqueues bytes and a flush worker (or the step loop, in deterministic
-// mode) pays the write+fsync cost.
+// mode) pays the commit cost.
 //
 // File format (all fixed-width integers little-endian):
 //
@@ -9,21 +9,32 @@
 //   u8      format version (kWalFormatVersion); readers reject others
 //   frame*  where frame = u32 payload length | u32 CRC32(payload)
 //           | payload bytes
+//   zero*   preallocated space past the last commit (only in a segment
+//           whose writer died before Close(); Close() truncates it)
 //
 // The payload of every frame is an encoded durability::WalRecord
 // (records.h), but the framing layer is content-agnostic. A reader
 // accepts the longest valid prefix: it stops at the first frame whose
 // length runs past EOF or whose CRC mismatches — a torn tail from a
-// mid-write kill — and reports how many valid bytes precede it. It
-// never resynchronizes past a bad frame: a valid-looking record after
-// garbage cannot be trusted (the paper-level guarantee is "recover a
-// prefix, flagged", never "skip and hope").
+// mid-write kill — or at an all-zero remainder, and reports how many
+// valid bytes precede it. It never resynchronizes past a bad frame: a
+// valid-looking record after garbage cannot be trusted (the paper-level
+// guarantee is "recover a prefix, flagged", never "skip and hope"). An
+// empty payload has CRC 0, so a trailing empty frame reads as zero
+// space; WalRecord payloads are never empty.
 //
-// Durability model: Append() buffers in user space (lost on kill -9,
-// which AbandonPending() models for the in-process harness); Commit()
-// write()s the buffer to the kernel and optionally fdatasync()s. Group
+// Durability model: Append() frames into a user-space buffer (lost on
+// kill -9, which AbandonPending() models for the in-process harness).
+// The segment file is mapped MAP_SHARED, and Commit() copies the
+// pending frames into the mapping: no system call. The bytes are then
+// in the page cache, so a committed record survives kill -9 of the
+// writer exactly as a write() would, but not power loss. fsync_commits
+// adds an fdatasync per commit for that (on Linux the page cache is
+// unified, so it writes back the pages dirtied through the mapping).
+// The file grows in posix_fallocate'd chunks, so a full disk is a
+// commit error at growth rather than a SIGBUS on a later copy. Group
 // commit batches many appends per commit, trading a bounded loss window
-// (the records since the last commit) for ingest throughput — the knobs
+// (the records since the last commit) for ingest throughput; the knobs
 // and the tradeoff table live in README.md.
 
 #ifndef DWRS_DURABILITY_WAL_H_
@@ -36,6 +47,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "durability/records.h"
 
 namespace dwrs::durability {
 
@@ -67,17 +80,19 @@ struct WalStats {
   uint64_t commits = 0;
   uint64_t fsyncs = 0;
   uint64_t bytes_appended = 0;   // framed bytes enqueued
-  uint64_t bytes_committed = 0;  // framed bytes handed to the kernel
+  uint64_t bytes_committed = 0;  // framed bytes copied into the segment
 };
 
 // Single-writer append handle for one WAL segment file. Append() is the
-// hot-path entry; with group commit enabled it is safe against the flush
-// worker (one mutex-protected buffer swap per commit), otherwise the
-// owner thread does everything.
+// hot-path entry and may run on another thread than Commit(); with
+// group commit enabled the flush worker commits too. Committers are
+// serialized, so batches land in the file in the order they were taken.
 class WalWriter {
  public:
   // Creates (truncating) or appends to `path`; a new file gets the
-  // header. ok() is false (with error()) on any I/O failure.
+  // header. Appending continues at the end of the file's valid prefix
+  // (ReadWalFile) and drops whatever lay past it. ok() is false (with
+  // error()) on any I/O failure.
   WalWriter(const std::string& path, const WalWriterOptions& options,
             bool truncate = true);
   ~WalWriter();
@@ -91,10 +106,13 @@ class WalWriter {
 
   // Frames `payload` into the pending buffer. Returns the framed size.
   size_t Append(const std::vector<uint8_t>& payload);
+  // Encodes `record` straight into the pending buffer (the same bytes
+  // as Append(EncodeWalRecord(record))). Returns the framed size.
+  size_t Append(const WalRecord& record);
 
-  // Writes every pending frame to the kernel (+fdatasync when
-  // configured). Returns false on I/O error. Idempotent when nothing is
-  // pending.
+  // Copies every pending frame into the segment (+fdatasync when
+  // configured). Returns false on I/O error; errors are sticky.
+  // Idempotent when nothing is pending.
   bool Commit();
 
   // Drops the pending (uncommitted) buffer — the user-space bytes a
@@ -102,16 +120,21 @@ class WalWriter {
   // of Commit() when tearing a shard down.
   void AbandonPending();
 
-  // Commit() + fdatasync regardless of fsync_commits, then close. The
-  // destructor calls this; explicit Close lets callers observe errors.
+  // Commit(), truncate the file to the committed bytes, fdatasync
+  // regardless of fsync_commits, then close. The destructor calls this;
+  // explicit Close lets callers observe errors.
   bool Close();
 
   size_t pending_bytes() const;
   WalStats stats() const;
 
  private:
-  bool WriteAll(const uint8_t* data, size_t n);
-  bool CommitLocked(std::unique_lock<std::mutex>& lock);
+  template <typename Encode>
+  size_t AppendFrame(const Encode& encode);
+  // Grows the file and the mapping to hold at least `bytes`. Caller
+  // holds commit_mutex_.
+  bool Reserve(size_t bytes);
+  void Unmap();
   void FlushWorkerMain();
 
   std::string path_;
@@ -119,6 +142,16 @@ class WalWriter {
   int fd_ = -1;
   std::string error_;
 
+  // Committers (Commit on any thread, the flush worker, Close) hold
+  // commit_mutex_ for the whole commit; it guards the mapping, the
+  // committed length and batch_. Lock order: commit_mutex_, then mutex_.
+  std::mutex commit_mutex_;
+  uint8_t* map_ = nullptr;
+  size_t map_bytes_ = 0;   // mapped = allocated file length
+  size_t committed_ = 0;   // header + committed frames
+  std::vector<uint8_t> batch_;  // the frames being copied (spare buffer)
+
+  // Appenders and committers hand frames over under mutex_.
   mutable std::mutex mutex_;
   std::vector<uint8_t> pending_;
   WalStats stats_;
@@ -134,9 +167,10 @@ struct WalReadResult {
   std::string error;         // why ok is false
   std::vector<std::vector<uint8_t>> payloads;  // the valid prefix
   uint64_t valid_bytes = 0;  // header + valid frames
-  // Bytes exist past the valid prefix (torn frame, bad CRC, garbage).
-  // The caller decides whether that is expected (mid-write kill) or a
-  // flagged corruption.
+  // Bytes exist past the valid prefix (torn frame, bad CRC, garbage, or
+  // the zeroed space of a writer that died before Close). The caller
+  // decides whether that is expected (the final segment of a killed
+  // writer) or a flagged corruption.
   bool truncated_tail = false;
 };
 

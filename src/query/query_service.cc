@@ -97,12 +97,18 @@ QueryResult QueryService::Query() const {
 }
 
 std::shared_ptr<const QueryResult> QueryService::QueryShared() const {
-  std::shared_ptr<const CachedQuery> entry =
-      cache_.load(std::memory_order_acquire);
+  std::shared_ptr<const CachedQuery> entry;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    entry = cache_;
+  }
   if (entry != nullptr) {
     // Revalidate by sequence stamp alone: S cheap probes instead of S
-    // full ShardSnapshot copies. A probe that lags its ring by one
-    // in-flight publish only turns a hit into a miss.
+    // full ShardSnapshot copies. A publisher stores its probe before
+    // its latest snapshot, so a probe never lags a snapshot any reader
+    // has copied: a hit never serves a cut older than one this reader
+    // already got. A probe ahead of the snapshot only turns a hit into
+    // a miss.
     bool hit = true;
     for (size_t shard = 0; shard < shards_.size(); ++shard) {
       if (shards_[shard]->latest_seq() != entry->seqs[shard]) {
@@ -134,13 +140,10 @@ std::shared_ptr<const QueryResult> QueryService::QueryShared() const {
   // as new. Per-shard sequences are monotone, so the sum orders cuts;
   // losing the race to a newer entry just means serving our own (still
   // coherent) result without caching it.
-  const uint64_t fresh_sum = SeqSum(fresh->seqs);
-  std::shared_ptr<const CachedQuery> cur =
-      cache_.load(std::memory_order_acquire);
-  while (cur == nullptr || SeqSum(cur->seqs) < fresh_sum) {
-    if (cache_.compare_exchange_weak(cur, fresh, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      break;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (cache_ == nullptr || SeqSum(cache_->seqs) < SeqSum(fresh->seqs)) {
+      cache_ = fresh;
     }
   }
   return std::shared_ptr<const QueryResult>(fresh, &fresh->result);

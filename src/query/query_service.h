@@ -28,9 +28,12 @@
 // latest_seq() probe to equal the cached key — the double check that
 // guarantees no reader ever serves a merge whose key vector was torn
 // across a publish. Any shard's publish changes its sequence and thus
-// misses the cache; the next query rebuilds and reinstalls. Hits cost
-// S sequence probes and zero snapshot copies (the probe replaces the
-// full ShardSnapshot copy Read() would make) — O(1) in sample size.
+// misses the cache; the next query rebuilds and reinstalls. The probe
+// never lags a snapshot a reader could have copied (snapshot.h), so
+// successive QueryShared() calls of one reader never go back in time.
+// Hits cost S sequence probes, one uncontended mutex for the cache slot
+// and zero snapshot copies (the probe replaces the full ShardSnapshot
+// copy Read() would make) — O(1) in sample size.
 //
 // Time travel. QueryAsOf(v) asks each shard for its newest retained
 // snapshot with state_version <= v (the publisher keeps a ring of the
@@ -66,6 +69,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "estimators/swor_estimators.h"
@@ -216,7 +220,10 @@ class QueryService {
   std::vector<const SnapshotPublisher*> shards_;
   obs::LatencyHistogram* latency_us_ = nullptr;
 
-  mutable std::atomic<std::shared_ptr<const CachedQuery>> cache_;
+  // A plain mutex, not std::atomic<std::shared_ptr>: libstdc++'s
+  // internal lock bit there is invisible to ThreadSanitizer.
+  mutable std::mutex cache_mutex_;
+  mutable std::shared_ptr<const CachedQuery> cache_;
   mutable std::atomic<uint64_t> cache_hits_{0};
   mutable std::atomic<uint64_t> cache_misses_{0};
   mutable std::atomic<uint64_t> cache_invalidations_{0};

@@ -88,10 +88,12 @@ void SnapshotPublisher::Publish(ShardSnapshot snap) {
   ring_[slot].store(node, std::memory_order_seq_cst);
   if (evicted != nullptr) evicted->in_ring = false;
   ring_mirror_[slot] = node;
-  latest_.store(node, std::memory_order_seq_cst);
-  // Stored after the slot/latest swaps: cache probes may lag the ring by
-  // one in-flight publish (a spurious cache miss, never a wrong hit).
+  // The cache probe goes first: once a reader can copy this snapshot
+  // through latest_, every probe reads at least its seq, so a cache hit
+  // never serves an older cut than one the reader already copied. A
+  // probe ahead of latest_ only costs a spurious cache miss.
   latest_seq_.store(seq, std::memory_order_seq_cst);
+  latest_.store(node, std::memory_order_seq_cst);
   latest_version_.store(version, std::memory_order_seq_cst);
   publish_count_.fetch_add(1, std::memory_order_release);
   // Freshness-SLO waiters: only touch the mutex when somebody is

@@ -145,12 +145,12 @@ class SnapshotPublisher {
     return publish_count_.load(std::memory_order_acquire);
   }
 
-  // Cheap revalidation probes for the merge cache: the publish sequence
-  // / state version of the most recent publish, without copying the
-  // snapshot. Readers may see these lag the ring by at most one
-  // in-flight publish (they are stored after the slot swap), which can
-  // only turn a cache hit into a miss — never serve a wrong entry,
-  // because the cache key is compared against these same probes.
+  // Cheap probes of the most recent publish, without copying the
+  // snapshot. latest_seq() (the merge cache's revalidation probe) is
+  // stored before the snapshot becomes readable, so it never lags a
+  // snapshot Read() can return; it may lead by one in-flight publish,
+  // which only turns a cache hit into a miss. latest_state_version() is
+  // stored after, so a reader that sees a version can Read() it.
   uint64_t latest_seq() const {
     return latest_seq_.load(std::memory_order_seq_cst);
   }

@@ -31,6 +31,21 @@ std::optional<double> GetDouble(const std::vector<uint8_t>& in, size_t* pos) {
   return v;
 }
 
+void AppendPayload(std::vector<uint8_t>* out, const Payload& msg) {
+  PutVarint(out, msg.type);
+  PutVarint(out, msg.a);
+  uint8_t flags = 0;
+  if (msg.x != 0.0) flags |= kHasX;
+  if (msg.y != 0.0) flags |= kHasY;
+  if (msg.seq != 0) flags |= kHasSeq;
+  if (msg.epoch != 0) flags |= kHasEpoch;
+  out->push_back(flags);
+  if (flags & kHasSeq) PutVarint(out, msg.seq);
+  if (flags & kHasEpoch) PutVarint(out, msg.epoch);
+  if (flags & kHasX) PutDouble(out, msg.x);
+  if (flags & kHasY) PutDouble(out, msg.y);
+}
+
 }  // namespace
 
 void PutVarint(std::vector<uint8_t>* out, uint64_t x) {
@@ -58,19 +73,19 @@ std::optional<uint64_t> GetVarint(const std::vector<uint8_t>& in,
 std::vector<uint8_t> EncodePayload(const Payload& msg) {
   std::vector<uint8_t> out;
   out.reserve(24);
-  PutVarint(&out, msg.type);
-  PutVarint(&out, msg.a);
-  uint8_t flags = 0;
-  if (msg.x != 0.0) flags |= kHasX;
-  if (msg.y != 0.0) flags |= kHasY;
-  if (msg.seq != 0) flags |= kHasSeq;
-  if (msg.epoch != 0) flags |= kHasEpoch;
-  out.push_back(flags);
-  if (flags & kHasSeq) PutVarint(&out, msg.seq);
-  if (flags & kHasEpoch) PutVarint(&out, msg.epoch);
-  if (flags & kHasX) PutDouble(&out, msg.x);
-  if (flags & kHasY) PutDouble(&out, msg.y);
+  AppendPayload(&out, msg);
   return out;
+}
+
+void PutSizedPayload(std::vector<uint8_t>* out, const Payload& msg) {
+  // Widest encoding: 5-byte type, 10-byte a, flags, 5-byte seq and
+  // epoch, two doubles. Under 0x80, so the varint prefix is one byte
+  // and can be patched in after the payload is encoded in place.
+  static_assert(5 + 10 + 1 + 5 + 5 + 8 + 8 < 0x80);
+  const size_t at = out->size();
+  out->push_back(0);
+  AppendPayload(out, msg);
+  (*out)[at] = static_cast<uint8_t>(out->size() - at - 1);
 }
 
 std::optional<Payload> DecodePayload(const std::vector<uint8_t>& bytes) {

@@ -33,6 +33,10 @@ std::optional<uint64_t> GetVarint(const std::vector<uint8_t>& in,
 //   1 = x present, 2 = y present, 4 = seq present, 8 = epoch present.
 std::vector<uint8_t> EncodePayload(const Payload& msg);
 
+// Appends varint(encoded size) | encoded payload, the length-prefixed
+// form the WAL and checkpoint codecs embed, without a temporary vector.
+void PutSizedPayload(std::vector<uint8_t>* out, const Payload& msg);
+
 // Inverse of EncodePayload; nullopt on malformed input. The `words`
 // accounting field is reconstructed as ceil(bytes / 8).
 std::optional<Payload> DecodePayload(const std::vector<uint8_t>& bytes);

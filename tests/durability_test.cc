@@ -11,7 +11,11 @@
 // Run under -fsanitize=thread in CI (the engine-backed runs exercise the
 // WAL append path from the coordinator worker thread).
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -620,6 +624,119 @@ TEST(DurableShardTest, CheckpointBytesAgreeAcrossBackends) {
     RemoveAll(dir);
   }
   EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+// The group-commit flush worker commits on its own clock, concurrently
+// with the owner's step-boundary commits and (on the engine backend)
+// with appends from the coordinator worker thread. The durable step of
+// each kill then depends on the worker's timing, but the recovered run
+// must end exactly where the deterministic step-commit run does. Kills
+// only: under message faults the recovered transcript may depend on the
+// durable step (durable_shard.h), which the worker's timing moves.
+TEST(DurableShardTest, BackgroundFlushRecoversLikeStepCommits) {
+  const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 47};
+  const Workload w = DurabilityWorkload(3, 240, /*seed=*/19);
+  uint64_t kills = 0;
+  for (uint64_t fault_seed = 1; fault_seed <= 6; ++fault_seed) {
+    FaultConfig faults;
+    faults.seed = fault_seed;
+    faults.process_kill_prob = 0.02;
+    faults.max_process_kills = 2;
+    for (Backend backend : {Backend::kSim, Backend::kEngine}) {
+      std::vector<ProbeState> probes;
+      std::vector<RunReport> reports;
+      std::vector<std::vector<uint64_t>> samples;
+      for (bool background : {false, true}) {
+        const std::string dir =
+            TempDir("flush_" + std::to_string(fault_seed) +
+                    (backend == Backend::kSim ? "_sim" : "_eng") +
+                    (background ? "_bg" : "_step"));
+        DurabilityOptions options = Opts(dir);
+        options.background_flush = background;
+        options.flush_interval_us = 20;
+        options.flush_bytes = 64;
+        {
+          DurableWswor durable(config, faults, backend, options);
+          durable.Run(w);
+          probes.push_back(durable.Probe());
+          reports.push_back(durable.report());
+          samples.push_back(durable.SampleIds());
+          if (background) kills += durable.process_kills();
+        }
+        RemoveAll(dir);
+      }
+      EXPECT_EQ(probes[0], probes[1]) << "fault seed " << fault_seed;
+      EXPECT_EQ(samples[0], samples[1]) << "fault seed " << fault_seed;
+      EXPECT_EQ(reports[0].transcript_hash, reports[1].transcript_hash)
+          << "fault seed " << fault_seed;
+      EXPECT_EQ(reports[0].process_kills, reports[1].process_kills);
+      EXPECT_TRUE(reports[1].recovery_consistent) << "seed " << fault_seed;
+      EXPECT_TRUE(reports[1].clean) << "seed " << fault_seed;
+    }
+  }
+  EXPECT_GT(kills, 0u);
+}
+
+// A real SIGKILL, not the in-process teardown: the child process dies
+// at a quiesce point between commits, so its segment is never closed
+// and keeps the zeroed space preallocated past the last commit. A fresh
+// process resumes from the directory and must finish exactly like an
+// uninterrupted run.
+TEST(DurableShardTest, SigkillMidSegmentResumesIdentically) {
+  const WsworConfig config{.num_sites = 4, .sample_size = 8, .seed = 55};
+  const Workload w = DurabilityWorkload(4, 240, /*seed=*/11);
+  FaultConfig none;
+  none.seed = 3;
+  faults::FaultyWswor reference(config, none, Backend::kSim);
+  reference.Run(w);
+
+  // Opts commits every 4 steps and checkpoints every 32: step 150 is
+  // two steps past the last commit, in the middle of a segment.
+  constexpr uint64_t kKillStep = 150;
+  const std::string dir = TempDir("sigkill");
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    DurableWswor child(config, none, Backend::kSim, Opts(dir));
+    child.Run(w, [](uint64_t step) {
+      if (step == kKillStep) std::raise(SIGKILL);
+    });
+    std::_Exit(1);  // the kill step was never reached
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exit status " << status;
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  const std::optional<ShardCheckpoint> checkpoint = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(checkpoint.has_value());
+  const std::string segment =
+      durability::WalSegmentPath(dir, checkpoint->checkpoint_seq);
+  const WalReadResult r = ReadWalFile(segment);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.truncated_tail);
+  const std::vector<uint8_t> bytes = ReadAll(segment);
+  ASSERT_GT(bytes.size(), r.valid_bytes);
+  EXPECT_TRUE(std::all_of(bytes.begin() + static_cast<long>(r.valid_bytes),
+                          bytes.end(), [](uint8_t b) { return b == 0; }));
+
+  {
+    DurableWswor resumed(config, none, Backend::kSim, Opts(dir));
+    EXPECT_EQ(resumed.recoveries(), 1u);
+    EXPECT_EQ(resumed.resume_step(), checkpoint->step);
+    EXPECT_EQ(resumed.last_recovery().durable_step, kKillStep / 4 * 4);
+    EXPECT_TRUE(resumed.last_recovery().wal_tail_truncated);
+    EXPECT_TRUE(resumed.last_recovery().consistent);
+    resumed.Run(w);
+    const RunReport report = resumed.report();
+    EXPECT_EQ(resumed.SampleIds(), reference.SampleIds());
+    EXPECT_EQ(report.transcript_hash, reference.report().transcript_hash);
+    EXPECT_EQ(report.delivered, reference.report().delivered);
+    EXPECT_TRUE(report.recovery_consistent);
+    EXPECT_TRUE(report.clean);
+  }
+  RemoveAll(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -791,6 +791,9 @@ TEST(LiveQueryStressTest, ConcurrentReadersDuringIngestion) {
         while (!stop.load(std::memory_order_acquire)) {
           Referee(service.Query(), s, n, /*expect_clean=*/true, *st);
         }
+        // The stop is stored after the quiesce, so this pass follows it
+        // even for a reader first scheduled after the stop.
+        Referee(service.Query(), s, n, /*expect_clean=*/true, *st);
       });
     }
 
